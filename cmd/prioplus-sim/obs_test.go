@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"io"
 	"os"
@@ -64,6 +66,35 @@ func TestObsSinkArtifactNaming(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
 			t.Errorf("artifact %s not written: %v", want, err)
 		}
+	}
+}
+
+// TestWatchdogFlightDump drives the CLI post-mortem path end to end: a
+// 64 KiB in-flight watchdog trips during fig10b's incast, and the flight
+// recorder's ring is dumped next to the -series artifacts. The dump's bytes
+// are pinned, so any change to which enq/deq/pause events the ports record,
+// or to how a dump encodes them, shows up here.
+func TestWatchdogFlightDump(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	o := runOpts{seed: 1, obs: obsOpts{dir: dir, maxBytes: 64 << 10}}
+	if err := runExperiment("fig10b", o, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "# watchdog tripped") {
+		t.Fatalf("no watchdog trip reported:\n%s", out.String())
+	}
+	dump, err := os.ReadFile(filepath.Join(dir, "fig10b__incast__seed1.flight.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(dump, []byte("\n")); n != flightSize {
+		t.Errorf("dump has %d lines, want %d", n, flightSize)
+	}
+	sum := sha256.Sum256(dump)
+	const want = "92e25eaa18dfd8867c1eba05447b000e0ac79102f81d83c325c4c1cdaecbbd74"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("dump sha256 = %s, want %s", got, want)
 	}
 }
 

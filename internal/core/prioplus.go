@@ -80,9 +80,6 @@ func (p ChannelPlan) Channel(i int) Channel {
 	}
 }
 
-// Width returns the per-priority channel spacing A+B.
-func (p ChannelPlan) Width() sim.Time { return p.Fluctuation + p.Noise }
-
 // Config parameterizes one PrioPlus flow.
 type Config struct {
 	Channel Channel

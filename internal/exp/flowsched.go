@@ -35,14 +35,12 @@ type FlowSchedConfig struct {
 	PerPrioWorkload bool
 	// NoiseScale scales the injected delay-measurement noise (1 = paper).
 	NoiseScale float64
-	// Obs, when non-nil, is attached to the run's network (trace sink and
-	// live flow counters) and filled with the final device metrics; see
-	// docs/OBSERVABILITY.md for the metric namespace.
-	Obs *obs.Recorder
-	// ObsFor, when non-nil and Obs is nil, supplies a fresh recorder per
-	// run, keyed by the run's tag ("<scheme>/np=<n>"). Multi-run figures
-	// (Fig11's sweep) need this: a Recorder is strictly per-engine, so one
-	// shared Obs cannot serve them.
+	// ObsFor, when non-nil, supplies a fresh recorder per run, keyed by
+	// the run's tag ("<scheme>/np=<n>"). The recorder is attached to the
+	// run's network and filled with the final device metrics; see
+	// docs/OBSERVABILITY.md for the metric namespace. A Recorder is
+	// strictly per-engine, so multi-run figures (Fig11's sweep) get one
+	// per run.
 	ObsFor func(tag string) *obs.Recorder
 	// Faults, when non-nil and non-empty, is installed on each run's
 	// topology before traffic starts. A Plan is immutable, so the same
@@ -113,8 +111,8 @@ func RunFlowSched(cfg FlowSchedConfig) FlowSchedResult {
 	}
 	opts = append(opts, harness.WithFaults(cfg.Faults))
 	net := harness.New(nw, cfg.Seed, opts...)
-	rec := cfg.Obs
-	if rec == nil && cfg.ObsFor != nil {
+	var rec *obs.Recorder
+	if cfg.ObsFor != nil {
 		rec = cfg.ObsFor(cfg.runTag())
 	}
 	if rec != nil {

@@ -15,12 +15,13 @@ func TestRunFlowSchedObs(t *testing.T) {
 	cfg.K = 4
 	cfg.Duration = 2 * sim.Millisecond
 	cfg.Drain = 5 * sim.Millisecond
-	cfg.Obs = obs.NewRecorder()
+	rec := obs.NewRecorder()
+	cfg.ObsFor = func(string) *obs.Recorder { return rec }
 	res := RunFlowSched(cfg)
 	if res.Flows.Count() == 0 {
 		t.Fatal("no flows completed")
 	}
-	snap := cfg.Obs.Metrics.Snapshot()
+	snap := rec.Metrics.Snapshot()
 	if got := snap["net/flows_completed"]; got != float64(res.Flows.Count()) {
 		t.Errorf("net/flows_completed = %v, want %d", got, res.Flows.Count())
 	}

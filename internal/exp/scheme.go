@@ -109,46 +109,6 @@ func PrioPlusSwift() Scheme {
 	}
 }
 
-// PrioPlusLEDBAT is PrioPlus wrapped around LEDBAT (§6.2).
-func PrioPlusLEDBAT() Scheme {
-	s := PrioPlusSwift()
-	s.Name = "PrioPlus+LEDBAT"
-	s.NewAlgo = func(env FlowEnv) cc.Algorithm {
-		plan := core.DefaultPlan(env.BaseRTT)
-		l := cc.NewLEDBAT(cc.DefaultLEDBATConfig(env.BaseRTT, env.BDPPkts))
-		return core.New(l, core.DefaultConfig(plan.Channel(env.Prio), env.NPrios))
-	}
-	return s
-}
-
-// SwiftVirtual is the paper's §3.2 strawman: Swift in a single queue with
-// per-priority target delays (base RTT + 4 us .. 32 us, higher priority =
-// larger target), with or without target scaling.
-func SwiftVirtual(scaling bool) Scheme {
-	name := "Swift-multi-target"
-	if scaling {
-		name += "+scaling"
-	}
-	return Scheme{
-		Name:          name,
-		Queues:        func(int) int { return 2 },
-		LosslessPrios: func(int) int { return 1 },
-		QueueFor:      func(prio, nprios, queues int) int { return 0 },
-		NewAlgo: func(env FlowEnv) cc.Algorithm {
-			cfg := cc.DefaultSwiftConfig(env.BaseRTT, env.BDPPkts)
-			cfg.TargetScaling = scaling
-			// Targets 4..32 us above base, ascending with priority.
-			span := 28 * sim.Microsecond
-			var off sim.Time
-			if env.NPrios > 1 {
-				off = sim.Time(env.Prio) * span / sim.Time(env.NPrios-1)
-			}
-			cfg.Target = env.BaseRTT + 4*sim.Microsecond + off
-			return cc.NewSwift(cfg)
-		},
-	}
-}
-
 // D2TCP runs all flows in one queue with ECN marking; deadlines scale from
 // 1.5x ideal FCT (highest priority) to 12x (lowest), per §6.
 func D2TCP() Scheme {

@@ -14,46 +14,40 @@ import (
 // when a watchdog is installed without a time-series sampler.
 const DefaultWatchdogInterval = 10 * sim.Microsecond
 
-// Observe attaches an observability recorder to the network: the
-// recorder's trace sink (flight recorder and/or Trace, if any) is
-// installed on every switch, fabric port, and host NIC; latency histograms
-// (rec.Hist) are installed on every stack; the time-series sampler
-// (rec.Series) gets the standard source catalogue and the engine clock
-// hook; the watchdog (rec.Watchdog) is checked at every sampling tick; and
-// a flow-completion hook keeps the recorder's aggregate flow counters
-// (net/flows_completed, net/retransmits, net/rtos, net/probes_sent,
-// net/fct_sum_us) up to date as flows finish. Observe owns each stack's
-// OnFlowDone hook. Call CollectMetrics after the run to fill in the
-// switch/port counters; docs/OBSERVABILITY.md documents every metric and
-// series name.
+// Observe attaches an observability recorder to the network: the flight
+// recorder (rec.Flight) is installed on every switch, fabric port, and host
+// NIC, and the flow tracer (rec.FlowTrace) on every switch and stack;
+// latency histograms (rec.Hist) are installed on every stack; the
+// time-series sampler (rec.Series) gets the standard source catalogue and
+// the engine clock hook; the watchdog (rec.Watchdog) is checked at every
+// sampling tick; and a flow-completion hook keeps the recorder's aggregate
+// flow counters (net/flows_completed, net/retransmits, net/rtos,
+// net/probes_sent, net/fct_sum_us) up to date as flows finish. Observe owns
+// each stack's OnFlowDone hook. Call CollectMetrics after the run to fill
+// in the switch/port counters; docs/OBSERVABILITY.md documents every metric
+// and series name.
 //
 // Call Observe before traffic starts. Disabled instruments cost nothing:
-// with a nil tracer the per-packet hot path is untouched, nil histograms
-// are one branch per sample, and without a series set the engine runs with
-// no sampler hook.
+// with no flight recorder the per-packet hot path is untouched, nil
+// histograms are one branch per sample, and without a series set the
+// engine runs with no sampler hook.
 func (n *Net) Observe(rec *obs.Recorder) {
-	tracer := rec.Tracer()
-	// Switches get the flow tracer chained in (drop/mark events of sampled
-	// flows become journey spans); ports and NICs keep the plain tracer so
-	// the per-packet enqueue/dequeue path never pays the extra hop.
-	if swTracer := rec.SwitchTracer(); swTracer != nil {
-		for _, sw := range n.Topo.Switches {
-			sw.Trace = swTracer
+	flight, ft := rec.Flight, rec.FlowTrace
+	// Switches also get the flow tracer (drop/mark events of sampled flows
+	// become journey spans); ports and NICs only record into the flight
+	// ring, so the per-packet enqueue/dequeue path never pays a flow lookup.
+	for _, sw := range n.Topo.Switches {
+		sw.Flight, sw.FlowTrace = flight, ft
+		for _, p := range sw.Ports {
+			p.Flight = flight
 		}
 	}
-	if tracer != nil {
-		for _, sw := range n.Topo.Switches {
-			for _, p := range sw.Ports {
-				p.Trace = tracer
-			}
-		}
-		for _, h := range n.Topo.Hosts {
-			h.NIC.Trace = tracer
-		}
+	for _, h := range n.Topo.Hosts {
+		h.NIC.Flight = flight
 	}
-	if rec.FlowTrace != nil {
+	if ft != nil {
 		for _, st := range n.Stacks {
-			st.FlowTrace = rec.FlowTrace
+			st.FlowTrace = ft
 		}
 	}
 	if rec.Hist != nil {
@@ -68,7 +62,6 @@ func (n *Net) Observe(rec *obs.Recorder) {
 	probes := rec.Metrics.Counter("net/probes_sent")
 	fctSum := rec.Metrics.Counter("net/fct_sum_us")
 	hist := rec.Hist
-	ft := rec.FlowTrace
 	for _, st := range n.Stacks {
 		st.OnFlowDone = func(fs transport.FlowStats) {
 			flows.Add(1)
@@ -87,8 +80,8 @@ func (n *Net) Observe(rec *obs.Recorder) {
 					})
 				}
 			}
-			if tracer != nil {
-				tracer.Trace(obs.Event{
+			if flight != nil {
+				flight.Trace(obs.Event{
 					T: n.Eng.Now(), Kind: obs.FlowDone,
 					Flow: fs.ID, Bytes: int(fs.Size),
 					Seq: int64(fs.FCT), QLen: int(fs.Retransmits),

@@ -1,8 +1,6 @@
 package harness_test
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"prioplus/internal/harness"
@@ -62,10 +60,9 @@ var perEntitySuffixes = map[string][]string{
 
 func TestObserveAndCollectMetrics(t *testing.T) {
 	net, eng := newNet(3)
-	var traceBuf bytes.Buffer
 	rec := obs.NewRecorder()
-	sink := obs.NewJSONLSink(&traceBuf)
-	rec.Trace = sink
+	// A ring big enough that the whole run fits without wrapping.
+	rec.Flight = obs.NewFlightRecorder(1 << 14)
 	net.Observe(rec)
 
 	size := int64(100_000)
@@ -110,17 +107,24 @@ func TestObserveAndCollectMetrics(t *testing.T) {
 		t.Errorf("host/2/rx_packets = %v, want > 0", snap["host/2/rx_packets"])
 	}
 
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
+	evs := rec.Flight.Events()
+	if int64(len(evs)) != rec.Flight.Total() {
+		t.Fatalf("flight ring wrapped: %d of %d events retained", len(evs), rec.Flight.Total())
 	}
-	trace := traceBuf.String()
-	for _, kind := range []string{`"kind":"enq"`, `"kind":"deq"`, `"kind":"fct"`} {
-		if !strings.Contains(trace, kind) {
-			t.Errorf("trace has no %s events", kind)
+	kinds := map[obs.Kind]int{}
+	for _, ev := range evs {
+		kinds[ev.Kind]++
+	}
+	for _, k := range []obs.Kind{obs.Enqueue, obs.Dequeue} {
+		if kinds[k] == 0 {
+			t.Errorf("flight ring has no %s events", k)
 		}
 	}
-	if sink.Events < 10 {
-		t.Errorf("trace recorded only %d events", sink.Events)
+	if kinds[obs.FlowDone] != 2 {
+		t.Errorf("flight ring has %d fct events, want 2", kinds[obs.FlowDone])
+	}
+	if len(evs) < 10 {
+		t.Errorf("flight ring recorded only %d events", len(evs))
 	}
 }
 

@@ -149,9 +149,6 @@ func pow2Exponent(a float64) (int, bool) {
 	return 0, false
 }
 
-// SharedFree returns the free bytes in the shared pool.
-func (b *sharedBuffer) SharedFree() int { return b.shared - b.used }
-
 // Used returns the shared-pool occupancy in bytes.
 func (b *sharedBuffer) Used() int { return b.used }
 
@@ -232,10 +229,11 @@ func (b *sharedBuffer) admitLossless(port, prio, size int) (admitted, sendPause 
 }
 
 // dtExceeds reports whether an egress queue of q bytes exceeds the dynamic
-// threshold DTAlpha * SharedFree(). With DTAlpha == 2^e (the default 1 is
-// e == 0) the float comparison collapses to an exact integer one: both
-// floats are exact (|values| < 2^53, the product only shifts the
-// exponent), so `float64(q) > 2^e*float64(free)` is the rational
+// threshold DTAlpha * free, where free is the shared pool's free bytes.
+// With DTAlpha == 2^e (the default 1 is e == 0) the float comparison
+// collapses to an exact integer one: both floats are exact (|values| <
+// 2^53, the product only shifts the exponent), so
+// `float64(q) > 2^e*float64(free)` is the rational
 // comparison q > free*2^e, which cross-multiplies into shifts — exact for
 // either sign of free, since q >= 0. Non-power-of-two alphas keep the
 // original float math.

@@ -130,10 +130,10 @@ type Port struct {
 	// senders the hidden local backlog stays bounded.
 	HWTimestamp bool
 
-	// Trace, when non-nil, receives enqueue/dequeue/pause/resume events
+	// Flight, when non-nil, records enqueue/dequeue/pause/resume events
 	// for this port. Nil (the default) costs one predictable branch per
 	// packet; install via harness.Net.Observe.
-	Trace obs.Tracer
+	Flight *obs.FlightRecorder
 
 	// Pool, when non-nil, receives packets this port drops under faults,
 	// keeping faulted runs allocation-free. Installed by internal/harness;
@@ -404,8 +404,8 @@ func (p *Port) dropFault(pkt *Packet, corrupt bool) {
 		p.FaultDrops++
 	}
 	p.FaultDropBytes += int64(pkt.Wire)
-	if p.Trace != nil {
-		p.Trace.Trace(obs.Event{
+	if p.Flight != nil {
+		p.Flight.Trace(obs.Event{
 			T: p.Eng.Now(), Kind: obs.Drop,
 			Dev: p.name(), Port: p.Index,
 			Flow: pkt.FlowID, Seq: pkt.Seq, Bytes: pkt.Wire,
@@ -439,8 +439,8 @@ func (p *Port) refuseDead(it TxItem) {
 
 // enqueue is the admitted fast path behind Enqueue: the link is known up
 // and q is the already-clamped queue index, so the common case (untraced
-// packet, no tracer, transmitter busy or queue immediately serviceable)
-// runs straight-line.
+// packet, no flight recorder, transmitter busy or queue immediately
+// serviceable) runs straight-line.
 func (p *Port) enqueue(it TxItem, q int) {
 	checkLive(it.Pkt, "Port.Enqueue")
 	// Empty-idle bypass: with the wire free, no wake pending, no other
@@ -448,9 +448,9 @@ func (p *Port) enqueue(it TxItem, q int) {
 	// priority pick is this packet, so it goes straight to the transmitter
 	// without touching the queue. State updates (HWM, Traced stamp) match
 	// what push-then-pop would have done in this same event; transmit then
-	// observes the queue exactly as it would post-pop. Tracer-installed
-	// ports take the full path so enqueue/dequeue events still fire.
-	if p.Trace == nil && !p.wakeArmed && len(p.queues) <= 64 &&
+	// observes the queue exactly as it would post-pop. Ports with a flight
+	// recorder take the full path so enqueue/dequeue events still fire.
+	if p.Flight == nil && !p.wakeArmed && len(p.queues) <= 64 &&
 		p.occMask&^p.pausedMask == 0 && (p.pausedMask>>uint(q))&1 == 0 &&
 		p.wireFree() {
 		if it.Pkt.Traced {
@@ -470,7 +470,7 @@ func (p *Port) enqueue(it TxItem, q int) {
 	if b := p.queues[q].bytes; b > p.QueueHWM {
 		p.QueueHWM = b
 	}
-	if p.Trace != nil {
+	if p.Flight != nil {
 		p.traceEnqueue(it.Pkt, q)
 	}
 	if !p.wakeArmed {
@@ -501,7 +501,7 @@ func (p *Port) wireFree() bool {
 // pending at a time (wakeArmed); startTx clears it when it fires.
 func (p *Port) armWake() {
 	p.wakeArmed = true
-	p.Eng.PostAtSeqK(p.busyUntil, p.startTxFn, p.wakeSeq, sim.EKTransmit)
+	p.Eng.PostAtSeq(p.busyUntil, p.startTxFn, p.wakeSeq, sim.EKTransmit)
 }
 
 // kick restarts an idle transmitter after an external state change (PFC
@@ -519,11 +519,11 @@ func (p *Port) kick() {
 	}
 }
 
-// traceEnqueue is the tracer-installed cold path of enqueue.
+// traceEnqueue is the flight-recorder cold path of enqueue.
 //
 //go:noinline
 func (p *Port) traceEnqueue(pkt *Packet, q int) {
-	p.Trace.Trace(obs.Event{
+	p.Flight.Trace(obs.Event{
 		T: p.Eng.Now(), Kind: obs.Enqueue,
 		Dev: p.name(), Port: p.Index, Queue: q,
 		Flow: pkt.FlowID, Seq: pkt.Seq,
@@ -543,12 +543,12 @@ func (p *Port) SetPaused(prio int, on bool) {
 	} else {
 		p.pausedMask &^= 1 << uint(q)
 	}
-	if p.Trace != nil {
+	if p.Flight != nil {
 		kind := obs.Resume
 		if on {
 			kind = obs.Pause
 		}
-		p.Trace.Trace(obs.Event{
+		p.Flight.Trace(obs.Event{
 			T: p.Eng.Now(), Kind: kind,
 			Dev: p.name(), Port: p.Index, Queue: q,
 		})
@@ -616,7 +616,7 @@ func (p *Port) transmit(it TxItem, q int) {
 	if it.Sw != nil {
 		it.Sw.releaseItem(it)
 	}
-	if p.Trace != nil {
+	if p.Flight != nil {
 		p.traceDequeue(pkt, q)
 	}
 	if p.HWTimestamp && (pkt.Type == Data || pkt.Type == Probe) {
@@ -634,7 +634,7 @@ func (p *Port) transmit(it TxItem, q int) {
 	}
 	// Closure-free delivery: deliverPacket is a package-level function and
 	// both arguments are pointers, so this schedules without allocating.
-	p.Eng.Post2K(ser+prop, deliverPacket, p.Peer, pkt, p.deliverKind)
+	p.Eng.Post2(ser+prop, deliverPacket, p.Peer, pkt, p.deliverKind)
 	if p.Pool != nil {
 		p.Pool.wire++
 	}
@@ -656,11 +656,11 @@ func (p *Port) transmit(it TxItem, q int) {
 	}
 }
 
-// traceDequeue is the tracer-installed cold path of transmit.
+// traceDequeue is the flight-recorder cold path of transmit.
 //
 //go:noinline
 func (p *Port) traceDequeue(pkt *Packet, q int) {
-	p.Trace.Trace(obs.Event{
+	p.Flight.Trace(obs.Event{
 		T: p.Eng.Now(), Kind: obs.Dequeue,
 		Dev: p.name(), Port: p.Index, Queue: q,
 		Flow: pkt.FlowID, Seq: pkt.Seq,
@@ -764,7 +764,7 @@ func (p *Port) SendPause(prio int, on bool) {
 	if on {
 		code |= 1
 	}
-	p.Eng.Post2K(d, deliverPause, p.Peer, code, sim.EKPause)
+	p.Eng.Post2(d, deliverPause, p.Peer, code, sim.EKPause)
 	if p.Pool != nil {
 		p.Pool.ctrl++
 	}

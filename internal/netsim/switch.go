@@ -17,10 +17,12 @@ type Switch struct {
 	Ports  []*Port
 	Buffer BufferConfig
 
-	// Trace, when non-nil, receives drop and ECN-mark events for this
-	// switch (enqueue/dequeue events come from the ports). Install via
-	// harness.Net.Observe.
-	Trace obs.Tracer
+	// Flight, when non-nil, records drop and ECN-mark events for this
+	// switch (enqueue/dequeue events come from the ports). FlowTrace, when
+	// non-nil, turns the drops and marks of its sampled flows into journey
+	// spans. Install both via harness.Net.Observe.
+	Flight    *obs.FlightRecorder
+	FlowTrace *obs.FlowTracer
 
 	// Pool, when non-nil, receives packets this switch drops, so lossy
 	// runs stay allocation-free. Installed by internal/harness; a nil pool
@@ -206,28 +208,46 @@ func (s *Switch) maybeMark(pkt *Packet, out *Port, prio, size int) {
 	if s.Buffer.ecnMark(out.queues[prio].bytes+size, pkt.VPrio, s.rng.Float64()) {
 		pkt.CE = true
 		s.ECNMarks++
-		if s.Trace != nil {
-			s.Trace.Trace(obs.Event{
-				T: s.Eng.Now(), Kind: obs.Mark,
-				Dev: s.Name, Port: out.Index, Queue: prio,
-				Flow: pkt.FlowID, Seq: pkt.Seq,
-				Bytes: size, QLen: out.queues[prio].bytes + size,
-			})
+		if s.Flight != nil || s.FlowTrace != nil {
+			s.traceMark(pkt, out, prio, size)
 		}
 	}
 }
 
-// traceDrop emits a Drop event for a packet refused by buffer admission.
-func (s *Switch) traceDrop(pkt *Packet, out *Port, prio int) {
-	if s.Trace == nil {
-		return
+// traceMark records an ECN mark in the flight recorder and, when the
+// packet's flow is sampled, as a journey span.
+//
+//go:noinline
+func (s *Switch) traceMark(pkt *Packet, out *Port, prio, size int) {
+	now, qlen := s.Eng.Now(), out.queues[prio].bytes+size
+	if s.Flight != nil {
+		s.Flight.Trace(obs.Event{
+			T: now, Kind: obs.Mark,
+			Dev: s.Name, Port: out.Index, Queue: prio,
+			Flow: pkt.FlowID, Seq: pkt.Seq,
+			Bytes: size, QLen: qlen,
+		})
 	}
-	s.Trace.Trace(obs.Event{
-		T: s.Eng.Now(), Kind: obs.Drop,
-		Dev: s.Name, Port: out.Index, Queue: prio,
-		Flow: pkt.FlowID, Seq: pkt.Seq,
-		Bytes: pkt.Wire, QLen: out.QueueBytes(prio),
-	})
+	if fl := s.FlowTrace.Log(pkt.FlowID); fl != nil {
+		fl.Add(obs.Span{T: now, Kind: obs.SpanMark, Seq: pkt.Seq, Dev: s.Name, A: float64(qlen)})
+	}
+}
+
+// traceDrop records a packet refused by buffer admission in the flight
+// recorder and, when the packet's flow is sampled, as a journey span.
+func (s *Switch) traceDrop(pkt *Packet, out *Port, prio int) {
+	now := s.Eng.Now()
+	if s.Flight != nil {
+		s.Flight.Trace(obs.Event{
+			T: now, Kind: obs.Drop,
+			Dev: s.Name, Port: out.Index, Queue: prio,
+			Flow: pkt.FlowID, Seq: pkt.Seq,
+			Bytes: pkt.Wire, QLen: out.QueueBytes(prio),
+		})
+	}
+	if fl := s.FlowTrace.Log(pkt.FlowID); fl != nil {
+		fl.Add(obs.Span{T: now, Kind: obs.SpanDrop, Seq: pkt.Seq, Dev: s.Name, A: float64(pkt.Wire)})
+	}
 }
 
 // liveNextHop scans the ECMP set from the hashed candidate onward and

@@ -12,10 +12,11 @@ import (
 	"prioplus/internal/sim"
 )
 
-// TestJSONLSinkEscapesStrings is the round-trip contract for string fields
-// in trace output: arbitrary device labels — quotes, backslashes, control
-// characters, non-ASCII — must come back intact through a JSON decoder.
-func TestJSONLSinkEscapesStrings(t *testing.T) {
+// TestFlightDumpEscapesStrings is the round-trip contract for string
+// fields in flight dumps: arbitrary device labels — quotes, backslashes,
+// control characters, non-ASCII — must come back intact through a JSON
+// decoder.
+func TestFlightDumpEscapesStrings(t *testing.T) {
 	devs := []string{
 		`plain`,
 		`quo"te`,
@@ -27,12 +28,12 @@ func TestJSONLSinkEscapesStrings(t *testing.T) {
 		"utf8-Ω-切替",
 		`both"\and` + "\n\x02",
 	}
-	var buf bytes.Buffer
-	sink := obs.NewJSONLSink(&buf)
+	f := obs.NewFlightRecorder(len(devs))
 	for i, dev := range devs {
-		sink.Trace(obs.Event{T: sim.Time(i + 1), Kind: obs.Enqueue, Dev: dev, Bytes: 1})
+		f.Trace(obs.Event{T: sim.Time(i + 1), Kind: obs.Enqueue, Dev: dev, Bytes: 1})
 	}
-	if err := sink.Flush(); err != nil {
+	var buf bytes.Buffer
+	if _, err := f.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
@@ -224,10 +225,10 @@ func TestArtifactCkptRoundTrip(t *testing.T) {
 	var tick func()
 	tick = func() {
 		if rec.Digest.Count < 3*sim.DigestCheckpointEvery {
-			e.Post(1, tick)
+			e.After(1, tick)
 		}
 	}
-	e.Post(0, tick)
+	e.After(0, tick)
 	e.Run()
 	var buf bytes.Buffer
 	if err := obs.WriteArtifact(&buf, "fp", rec); err != nil {

@@ -1,21 +1,73 @@
 package obs
 
-import "io"
+import (
+	"bufio"
+	"encoding/json"
+	"io"
 
-// FlightRecorder keeps the last N trace events in a fixed-size ring. It
-// implements Tracer, so it installs anywhere a trace sink does, but unlike
-// JSONLSink it costs no I/O while the run is healthy: events overwrite the
-// oldest slot, and the ring is only read out when something goes wrong
-// (typically a Watchdog trip). Recording is zero-alloc: events are value
-// copies into a preallocated buffer.
+	"prioplus/internal/sim"
+)
+
+// Kind identifies what a flight-recorder Event records.
+type Kind uint8
+
+// Event kinds. Enqueue/Dequeue/Drop/Mark are per-packet switch and port
+// events; Pause/Resume are PFC state transitions on an egress queue;
+// FlowDone is a transport-level flow completion.
+const (
+	Enqueue Kind = iota
+	Dequeue
+	Drop
+	Mark
+	Pause
+	Resume
+	FlowDone
+)
+
+var kindNames = [...]string{"enq", "deq", "drop", "mark", "pause", "resume", "fct"}
+
+// String returns the event kind's dump label (enq, deq, drop, ...).
+func (k Kind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return "unknown"
+}
+
+// MarshalText encodes the kind as its dump label.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// Event is one simulator occurrence. Field meaning varies slightly by
+// kind; unused fields are zero and omitted from the JSONL dump:
+//
+//   - Enqueue/Dequeue/Drop/Mark: Dev/Port/Queue locate the egress queue,
+//     Flow/Seq/Bytes identify the packet, QLen is the queue occupancy in
+//     bytes after the event took effect.
+//   - Pause/Resume: Dev/Port/Queue locate the paused egress queue.
+//   - FlowDone: Flow is the flow ID, Bytes its size, QLen its retransmit
+//     count, and Seq its FCT in picoseconds.
+type Event struct {
+	T     sim.Time `json:"t_ps"` // simulated time, picoseconds
+	Kind  Kind     `json:"kind"`
+	Dev   string   `json:"dev,omitempty"`  // device name ("host3", "tor0/agg1/core2"...)
+	Port  int      `json:"port,omitempty"` // port index within the device
+	Queue int      `json:"q,omitempty"`    // priority queue index
+	Flow  int64    `json:"flow,omitempty"`
+	Seq   int64    `json:"seq,omitempty"`
+	Bytes int      `json:"bytes,omitempty"`
+	QLen  int      `json:"qlen,omitempty"`
+}
+
+// FlightRecorder keeps the last N events in a fixed-size ring. Ports,
+// switches, and the harness's flow-completion hook write into it directly.
+// It costs no I/O while the run is healthy: events overwrite the oldest
+// slot, and the ring is only read out when something goes wrong (typically
+// a Watchdog trip). Recording is zero-alloc: events are value copies into
+// a preallocated buffer.
 type FlightRecorder struct {
 	buf   []Event
 	next  int
 	total int64
-
-	// Inner, when non-nil, also receives every event (chaining lets a run
-	// keep a full JSONL trace and a crash ring at once).
-	Inner Tracer
 }
 
 // NewFlightRecorder returns a ring holding the most recent size events.
@@ -26,7 +78,7 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	return &FlightRecorder{buf: make([]Event, 0, size)}
 }
 
-// Trace implements Tracer.
+// Trace records ev, overwriting the oldest event once the ring is full.
 func (f *FlightRecorder) Trace(ev Event) {
 	if len(f.buf) < cap(f.buf) {
 		f.buf = append(f.buf, ev)
@@ -38,9 +90,6 @@ func (f *FlightRecorder) Trace(ev Event) {
 		f.next = 0
 	}
 	f.total++
-	if f.Inner != nil {
-		f.Inner.Trace(ev)
-	}
 }
 
 // Total returns the number of events recorded over the ring's lifetime
@@ -57,15 +106,18 @@ func (f *FlightRecorder) Events() []Event {
 	return append(out, f.buf[:f.next]...)
 }
 
-// Dump writes the retained events to w as JSONL (same schema as JSONLSink),
-// oldest first, and returns the number written.
+// Dump writes the retained events to w as JSONL, one Event object per
+// line, oldest first, and returns the number written.
 func (f *FlightRecorder) Dump(w io.Writer) (int, error) {
-	sink := NewJSONLSink(w)
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	evs := f.Events()
 	for _, ev := range evs {
-		sink.Trace(ev)
+		if err := enc.Encode(ev); err != nil {
+			return 0, err
+		}
 	}
-	return len(evs), sink.Flush()
+	return len(evs), bw.Flush()
 }
 
 // Watchdog trips when a run's resource gauges exceed configured ceilings.

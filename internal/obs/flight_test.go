@@ -51,18 +51,6 @@ func TestFlightRecorderWrapOldestFirst(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderChainsInner(t *testing.T) {
-	var got []int64
-	f := obs.NewFlightRecorder(2)
-	f.Inner = obs.TraceFunc(func(ev obs.Event) { got = append(got, ev.Flow) })
-	for i := 0; i < 5; i++ {
-		f.Trace(flightEvent(i))
-	}
-	if len(got) != 5 {
-		t.Errorf("inner tracer saw %d events, want all 5", len(got))
-	}
-}
-
 func TestFlightRecorderDump(t *testing.T) {
 	f := obs.NewFlightRecorder(4)
 	for i := 0; i < 6; i++ {
@@ -86,6 +74,26 @@ func TestFlightRecorderDump(t *testing.T) {
 	}
 	if rec["flow"] != float64(2) {
 		t.Errorf("first dumped event flow = %v, want 2 (oldest retained)", rec["flow"])
+	}
+}
+
+// TestFlightDumpSchema pins the dump's field names and its omission of
+// zero-valued fields, the schema docs/OBSERVABILITY.md documents.
+func TestFlightDumpSchema(t *testing.T) {
+	f := obs.NewFlightRecorder(4)
+	f.Trace(obs.Event{T: 1500, Kind: obs.Enqueue, Dev: "tor0", Port: 2, Queue: 1, Flow: 7, Seq: 3, Bytes: 1000, QLen: 4000})
+	f.Trace(obs.Event{T: 2000, Kind: obs.Drop, Dev: "tor0", Port: 2, Bytes: 1000})
+	f.Trace(obs.Event{T: 3000, Kind: obs.FlowDone, Flow: 7, Bytes: 50_000, Seq: 123_456})
+	var buf bytes.Buffer
+	if _, err := f.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"t_ps":1500,"kind":"enq","dev":"tor0","port":2,"q":1,"flow":7,"seq":3,"bytes":1000,"qlen":4000}
+{"t_ps":2000,"kind":"drop","dev":"tor0","port":2,"bytes":1000}
+{"t_ps":3000,"kind":"fct","flow":7,"seq":123456,"bytes":50000}
+`
+	if got := buf.String(); got != want {
+		t.Errorf("dump =\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -158,32 +166,5 @@ func TestWatchdogInflightTakesPriority(t *testing.T) {
 	w.Check(11, 11)
 	if w.Tripped() != "inflight_bytes" {
 		t.Errorf("Tripped = %q, want inflight_bytes checked first", w.Tripped())
-	}
-}
-
-func TestRecorderTracerChaining(t *testing.T) {
-	// No flight, no trace: nil tracer.
-	r := obs.NewRecorder()
-	if r.Tracer() != nil {
-		t.Error("Tracer() non-nil with nothing configured")
-	}
-	// Trace only: the sink itself.
-	var seen []obs.Event
-	sink := obs.TraceFunc(func(ev obs.Event) { seen = append(seen, ev) })
-	r.Trace = sink
-	tr := r.Tracer()
-	tr.Trace(flightEvent(1))
-	if len(seen) != 1 {
-		t.Fatal("Trace-only Tracer() did not reach the sink")
-	}
-	// Flight + trace: ring in front, events reach both.
-	r.Flight = obs.NewFlightRecorder(4)
-	tr = r.Tracer()
-	tr.Trace(flightEvent(2))
-	if len(seen) != 2 {
-		t.Error("chained Tracer() did not forward to the inner sink")
-	}
-	if r.Flight.Total() != 1 {
-		t.Errorf("flight recorder saw %d events, want 1", r.Flight.Total())
 	}
 }

@@ -212,10 +212,9 @@ func (l *FlowLog) Spans(fn func(sp Span)) {
 // FlowTracer records causal timelines for a deterministic sample of flows.
 // Admission is first-come under a MaxFlows cap (flow start order is
 // deterministic in the engine-per-run model), optionally filtered to an
-// explicit Match list or thinned by a hash stride (Every). The tracer also
-// implements Tracer so the harness can chain it in front of the switch
-// trace hook: per-flow drop and ECN-mark events of sampled flows become
-// journey spans, everything is forwarded to Inner.
+// explicit Match list or thinned by a hash stride (Every). Switches look
+// up drop and ECN-mark events by flow ID, so those of sampled flows become
+// journey spans.
 //
 // Like the rest of the package, a FlowTracer belongs to one run and one
 // goroutine. All hot-path hooks are nil-guarded: with no tracer installed
@@ -238,10 +237,6 @@ type FlowTracer struct {
 	// every packet). Probes, retransmissions, and decisions are always
 	// recorded.
 	PacketEvery int
-	// Inner, when non-nil, receives every trace event after the tracer
-	// inspects it (set by Recorder.SwitchTracer so flight recording and
-	// full event traces compose with flow tracing).
-	Inner Tracer
 
 	logs  map[int64]*FlowLog
 	order []int64
@@ -334,24 +329,4 @@ func (t *FlowTracer) Logs() []*FlowLog {
 		out = append(out, t.logs[id])
 	}
 	return out
-}
-
-// Trace implements Tracer: per-flow drop and mark events of sampled flows
-// become journey spans; every event is forwarded to Inner. Installed on
-// switches (drop/mark sources) by harness.Net.Observe — not on ports, whose
-// per-packet enqueue/dequeue volume is covered by the INT piggyback instead.
-func (t *FlowTracer) Trace(ev Event) {
-	switch ev.Kind {
-	case Drop:
-		if fl := t.logs[ev.Flow]; fl != nil {
-			fl.Add(Span{T: ev.T, Kind: SpanDrop, Seq: ev.Seq, Dev: ev.Dev, A: float64(ev.Bytes)})
-		}
-	case Mark:
-		if fl := t.logs[ev.Flow]; fl != nil {
-			fl.Add(Span{T: ev.T, Kind: SpanMark, Seq: ev.Seq, Dev: ev.Dev, A: float64(ev.QLen)})
-		}
-	}
-	if t.Inner != nil {
-		t.Inner.Trace(ev)
-	}
 }

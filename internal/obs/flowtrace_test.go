@@ -2,10 +2,12 @@ package obs_test
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"prioplus/internal/netsim"
 	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 )
@@ -97,34 +99,71 @@ func TestFlowTracerEveryDeterministic(t *testing.T) {
 	}
 }
 
-// recordingTracer captures forwarded events, standing in for the flight
-// recorder / JSONL sink behind the flow tracer.
-type recordingTracer struct{ evs []obs.Event }
-
-func (r *recordingTracer) Trace(ev obs.Event) { r.evs = append(r.evs, ev) }
-
+// TestFlowTracerTraceChaining: a switch with a flow tracer turns the drops
+// and ECN marks of a sampled flow into journey spans that match the flight
+// recorder's events one for one. The lookup is by flow ID, so spans appear
+// even though none of the packets carries the per-packet Traced stamp, and
+// an unsampled flow gets no log.
 func TestFlowTracerTraceChaining(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := netsim.DefaultBufferConfig()
+	cfg.PFCEnabled = false
+	cfg.TotalBytes = 20 * 1048
+	cfg.DTAlpha = 0.5
+	cfg.ECNKMin = 3000
+	cfg.ECNKMax = 3000
+	sw := netsim.NewSwitch(eng, "tor0", cfg, rand.New(rand.NewSource(1)))
+	hosts := make([]*netsim.Host, 3)
+	for i := range hosts {
+		hosts[i] = netsim.NewHost(eng, i, 10*netsim.Gbps, 0, 1)
+		netsim.Connect(hosts[i].NIC, sw.AddPort(10*netsim.Gbps, 0, 1))
+		sw.SetRoute(i, []int32{int32(i)})
+	}
+	sw.Finalize()
 	ft := obs.NewFlowTracer(1)
-	fl := ft.Admit(7)
-	inner := &recordingTracer{}
-	ft.Inner = inner
+	fl := ft.Admit(8)
+	sw.FlowTrace = ft
+	sw.Flight = obs.NewFlightRecorder(1024)
 
-	ft.Trace(obs.Event{T: 10, Kind: obs.Drop, Dev: "tor0", Flow: 7, Seq: 1500, Bytes: 1000})
-	ft.Trace(obs.Event{T: 20, Kind: obs.Mark, Dev: "tor0", Flow: 7, Seq: 3000, QLen: 4096})
-	ft.Trace(obs.Event{T: 30, Kind: obs.Drop, Dev: "tor0", Flow: 8, Seq: 0, Bytes: 500}) // unsampled
-	ft.Trace(obs.Event{T: 40, Kind: obs.Enqueue, Dev: "tor0", Flow: 7})                  // not a journey kind
+	// Two senders at line rate into one egress: the queue crosses the
+	// marking threshold and then overflows the tiny buffer. Flow 7's
+	// packets reach the switch first in each round, so the overflow drops
+	// fall on flow 8, the sampled one.
+	for i := 0; i < 100; i++ {
+		for _, flow := range []int64{7, 8} {
+			pkt := netsim.NewData(flow, int(flow-7), 2, 0, int64(i)*1000, 1000)
+			pkt.ECT = true
+			hosts[flow-7].Send(pkt)
+		}
+	}
+	eng.Run()
 
+	var want []obs.Span
+	for _, ev := range sw.Flight.Events() {
+		if ev.Flow != 8 {
+			continue
+		}
+		switch ev.Kind {
+		case obs.Drop:
+			want = append(want, obs.Span{T: ev.T, Kind: obs.SpanDrop, Seq: ev.Seq, Dev: "tor0", A: float64(ev.Bytes)})
+		case obs.Mark:
+			want = append(want, obs.Span{T: ev.T, Kind: obs.SpanMark, Seq: ev.Seq, Dev: "tor0", A: float64(ev.QLen)})
+		}
+	}
 	var got []obs.Span
-	fl.Spans(func(sp obs.Span) { got = append(got, sp) })
-	want := []obs.Span{
-		{T: 10, Kind: obs.SpanDrop, Seq: 1500, Dev: "tor0", A: 1000},
-		{T: 20, Kind: obs.SpanMark, Seq: 3000, Dev: "tor0", A: 4096},
+	kinds := map[obs.SpanKind]int{}
+	fl.Spans(func(sp obs.Span) {
+		got = append(got, sp)
+		kinds[sp.Kind]++
+	})
+	if kinds[obs.SpanDrop] == 0 || kinds[obs.SpanMark] == 0 {
+		t.Fatalf("sampled flow has %d drop and %d mark spans, want both", kinds[obs.SpanDrop], kinds[obs.SpanMark])
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("spans = %+v, want %+v", got, want)
+		t.Errorf("spans = %+v,\nwant %+v", got, want)
 	}
-	if len(inner.evs) != 4 {
-		t.Errorf("inner tracer saw %d events, want all 4", len(inner.evs))
+	if ft.Log(7) != nil {
+		t.Error("unsampled flow 7 has a log")
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package obs is the simulator's observability layer: a metrics registry
-// for per-run counters and high-water marks, and an optional JSONL event
-// trace (see trace.go). It is designed around the engine-per-run model used
-// by internal/runner: every run owns a private Recorder alongside its
-// private sim.Engine, so nothing here takes locks and nothing is shared
-// across goroutines.
+// for per-run counters and high-water marks, and an optional flight
+// recorder of recent events (see flight.go). It is designed around the
+// engine-per-run model used by internal/runner: every run owns a private
+// Recorder alongside its private sim.Engine, so nothing here takes locks
+// and nothing is shared across goroutines.
 //
 // The layer is zero-cost when disabled. Hot-path hooks in internal/netsim
-// and internal/transport are guarded by a single nil check (`if Trace !=
+// and internal/transport are guarded by a single nil check (`if Flight !=
 // nil`, `if OnFlowDone != nil`); counter fields that are always maintained
 // (drops, ECN marks, pause time, high-water marks) are plain integer
 // updates the simulator was already paying for. The registry itself is
@@ -129,9 +129,9 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Recorder bundles the per-run observability state: a metrics registry, an
-// optional event-trace sink, and the second-generation instruments —
-// time-series sampler, latency histograms, flight recorder, watchdog. A nil
+// Recorder bundles the per-run observability state: a metrics registry and
+// the optional instruments — time-series sampler, latency histograms,
+// flight recorder, watchdog, flow tracer, and the rest below. A nil
 // field disables that instrument entirely; harness.Net.Observe only
 // installs hooks for the parts that are non-nil.
 type Recorder struct {
@@ -139,10 +139,6 @@ type Recorder struct {
 	// harness.Net.CollectMetrics after the run; flow-completion aggregates
 	// are updated live as flows finish.
 	Metrics *Registry
-	// Trace, when non-nil, receives one Event per simulator occurrence
-	// (enqueue, dequeue, drop, ECN mark, PFC pause/resume, flow
-	// completion). Use NewJSONLSink to stream events to a file.
-	Trace Tracer
 	// Series, when non-nil, samples simulator gauges at a fixed simulated-
 	// time interval; harness.Net.Observe registers the standard sources and
 	// installs the engine clock hook.
@@ -150,9 +146,10 @@ type Recorder struct {
 	// Hist, when non-nil, records fabric-delay, FCT, and ACK-RTT latency
 	// distributions via zero-alloc streaming histograms.
 	Hist *HistSet
-	// Flight, when non-nil, keeps the most recent trace events in a ring
-	// for post-mortem dumps. It is chained in front of Trace, so the two
-	// compose.
+	// Flight, when non-nil, keeps the most recent events (enqueue,
+	// dequeue, drop, ECN mark, PFC pause/resume, flow completion) in a ring
+	// for post-mortem dumps. harness.Net.Observe installs it on every
+	// switch, port, and stack.
 	Flight *FlightRecorder
 	// Watchdog, when non-nil, is checked against the run's in-flight-bytes
 	// and event-heap gauges at every Series sampling tick — or, when Series
@@ -160,8 +157,8 @@ type Recorder struct {
 	Watchdog *Watchdog
 	// FlowTrace, when non-nil, records causal timelines (packet journeys +
 	// CC decision audit) for a deterministic sample of flows. Installed by
-	// harness.Net.Observe on the transport stacks and, via SwitchTracer, in
-	// front of the switch trace hook.
+	// harness.Net.Observe on the transport stacks and on the switches,
+	// whose drop and ECN-mark events of sampled flows become journey spans.
 	FlowTrace *FlowTracer
 	// Faults accumulates executed fault events (link flaps, reboots).
 	// Always present — fault events are rare, so unlike the sampling
@@ -192,32 +189,8 @@ type Recorder struct {
 	Audit *Auditor
 }
 
-// NewRecorder returns a recorder with an empty registry and no trace sink.
+// NewRecorder returns a recorder with an empty registry and fault log and
+// every optional instrument off.
 func NewRecorder() *Recorder {
 	return &Recorder{Metrics: NewRegistry(), Faults: &FaultLog{}}
-}
-
-// Tracer resolves the trace sink the simulator hooks should see: the
-// flight recorder chained in front of Trace when both are set, whichever
-// one alone otherwise, or nil when tracing is fully disabled.
-func (r *Recorder) Tracer() Tracer {
-	if r.Flight != nil {
-		r.Flight.Inner = r.Trace
-		return r.Flight
-	}
-	return r.Trace
-}
-
-// SwitchTracer resolves the trace sink for switches: the flow tracer
-// chained in front of Tracer() when flow tracing is on (switch drop and
-// ECN-mark events feed sampled flows' journeys), plain Tracer() otherwise.
-// Ports keep the plain Tracer() — their per-packet volume is covered by the
-// INT piggyback, so the port hot path never pays the flow-tracer branch.
-func (r *Recorder) SwitchTracer() Tracer {
-	t := r.Tracer()
-	if r.FlowTrace != nil {
-		r.FlowTrace.Inner = t
-		return r.FlowTrace
-	}
-	return t
 }

@@ -16,7 +16,7 @@ func TestCostSamplerStride(t *testing.T) {
 	})
 	const n = 40
 	for i := 0; i < n; i++ {
-		e.Post(Time(i), func() {})
+		e.After(Time(i), func() {})
 	}
 	e.Run()
 	if stamps != n/4 {
@@ -25,18 +25,18 @@ func TestCostSamplerStride(t *testing.T) {
 }
 
 // TestCostSamplerKinds verifies that kind tags set at scheduling time reach
-// the hook: every dispatch path (Post2K, AtK, PostAtSeqK, sampler firing,
-// untagged Post) reports its tag.
+// the hook: every dispatch path (Post2, AtK, PostAtSeq, sampler firing,
+// untagged After) reports its tag.
 func TestCostSamplerKinds(t *testing.T) {
 	e := NewEngine()
 	var got []uint8
 	e.SetCostSampler(1, func(kind uint8, nanos int64) { got = append(got, kind) })
 
-	e.Post2K(1, func(a, b any) {}, nil, nil, EKDeliverHost)
+	e.Post2(1, func(a, b any) {}, nil, nil, EKDeliverHost)
 	e.AtK(2, func() {}, EKRTO)
 	seq := e.ReserveSeq()
-	e.PostAtSeqK(3, func() {}, seq, EKTransmit)
-	e.Post(4, func() {}) // untagged → EKOther
+	e.PostAtSeq(3, func() {}, seq, EKTransmit)
+	e.After(4, func() {}) // untagged → EKOther
 	e.SetSampler(5, func() {})
 	e.RunUntil(5)
 
@@ -59,14 +59,14 @@ func TestCostSamplerZeroAllocDisabled(t *testing.T) {
 	fn2 := func(a, b any) {}
 	// Warm the free list.
 	for i := 0; i < 64; i++ {
-		e.Post2K(Time(i), fn2, nil, nil, EKTransmit)
+		e.Post2(Time(i), fn2, nil, nil, EKTransmit)
 	}
 	e.Run()
 	if avg := testing.AllocsPerRun(200, func() {
-		e.Post2K(1, fn2, nil, nil, EKTransmit)
+		e.Post2(1, fn2, nil, nil, EKTransmit)
 		e.Run()
 	}); avg != 0 {
-		t.Fatalf("Post2K+Run allocates %.1f times per op with cost sampling off", avg)
+		t.Fatalf("Post2+Run allocates %.1f times per op with cost sampling off", avg)
 	}
 }
 
@@ -79,12 +79,12 @@ func TestCostSamplerZeroAllocEnabled(t *testing.T) {
 	e.SetCostSampler(2, func(kind uint8, nanos int64) { n++; ns += nanos })
 	fn2 := func(a, b any) {}
 	for i := 0; i < 64; i++ {
-		e.Post2K(Time(i), fn2, nil, nil, EKTransmit)
+		e.Post2(Time(i), fn2, nil, nil, EKTransmit)
 	}
 	e.Run()
 	if avg := testing.AllocsPerRun(200, func() {
-		e.Post2K(1, fn2, nil, nil, EKTransmit)
-		e.Post2K(1, fn2, nil, nil, EKDeliverHost)
+		e.Post2(1, fn2, nil, nil, EKTransmit)
+		e.Post2(1, fn2, nil, nil, EKDeliverHost)
 		e.Run()
 	}); avg != 0 {
 		t.Fatalf("profiled dispatch allocates %.1f times per op", avg)
@@ -100,7 +100,7 @@ func TestCostSamplerRemove(t *testing.T) {
 	fired := false
 	e.SetCostSampler(1, func(uint8, int64) { fired = true })
 	e.SetCostSampler(0, nil)
-	e.Post(1, func() {})
+	e.After(1, func() {})
 	e.Run()
 	if fired {
 		t.Fatal("cost hook fired after removal")
@@ -136,10 +136,10 @@ func TestTotalEventsLogicalBasis(t *testing.T) {
 
 	// Two plain events, one reserved seq that is filed (and dispatches),
 	// one reserved seq that never is (elided).
-	e.Post(1, func() {})
-	e.Post(2, func() {})
+	e.After(1, func() {})
+	e.After(2, func() {})
 	filed := e.ReserveSeq()
-	e.PostAtSeq(3, func() {}, filed)
+	e.PostAtSeq(3, func() {}, filed, EKOther)
 	e.ReserveSeq() // elided
 	e.RunUntil(10)
 
@@ -158,9 +158,9 @@ func TestTotalEventsCrossRunFile(t *testing.T) {
 	e := NewEngine()
 	l0 := TotalEvents()
 	var seq uint64
-	e.Post(1, func() { seq = e.ReserveSeq() })
+	e.After(1, func() { seq = e.ReserveSeq() })
 	e.RunUntil(5) // run A: 1 dispatched + 1 reserved → +2
-	e.PostAtSeq(8, func() {}, seq)
+	e.PostAtSeq(8, func() {}, seq, EKOther)
 	e.RunUntil(10) // run B: 1 dispatched + 1 filed → +0... net +1
 	if d := TotalEvents() - l0; d != 2 {
 		t.Fatalf("logical delta = %d, want 2 (each event counted once)", d)

@@ -92,10 +92,10 @@ func TestDigestCheckpointCompaction(t *testing.T) {
 	step = func() {
 		i++
 		if i < n {
-			e.Post(1, step)
+			e.After(1, step)
 		}
 	}
-	e.Post(0, step)
+	e.After(0, step)
 	e.Run()
 	if d.CheckpointEvery() <= DigestCheckpointEvery {
 		t.Fatalf("interval %d: compaction never ran", d.CheckpointEvery())
@@ -147,9 +147,9 @@ func TestDigestFoldAllocs(t *testing.T) {
 	var tick func()
 	tick = func() {
 		d.FoldPayload(1, 2, 3)
-		e.Post(1, tick)
+		e.After(1, tick)
 	}
-	e.Post(0, tick)
+	e.After(0, tick)
 	e.RunUntil(100) // warm the event free list
 	allocs := testing.AllocsPerRun(200, func() {
 		end := e.Now() + 50

@@ -13,10 +13,12 @@
 // An Engine is single-threaded; batch parallelism is achieved by running
 // one engine per (experiment, seed) run (see internal/runner). Callbacks
 // are scheduled with At (absolute time, returns a cancelable *Event),
-// After/Post (relative time), or Post2 (relative time, closure-free: a
+// After (relative time), Post2 (relative time, closure-free: a
 // preallocated func(a, b any) plus two pre-boxed arguments — the
-// zero-allocation primitive of the packet hot path). Scheduling in the
-// past panics; a negative relative delay is clamped to zero.
+// zero-allocation primitive of the packet hot path), or PostAtSeq (a
+// sequence position reserved earlier with ReserveSeq). AtK, Post2 and
+// PostAtSeq take a cost-attribution kind tag. Scheduling in the past
+// panics; a negative relative delay is clamped to zero.
 //
 // # Ordering and determinism
 //

@@ -273,34 +273,15 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
-// Post schedules fn to run d after the current time without returning the
-// event. Use for fire-and-forget scheduling; events posted this way cannot
-// be canceled. (All events are recycled once they fire; Post merely
-// documents that the caller keeps no handle.)
-func (e *Engine) Post(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.now + d).fn = fn
-}
-
 // Post2 schedules fn(a, b) to run d after the current time, without
 // allocating a closure: fn is expected to be preallocated (a package-level
 // function or a func value created once), and a/b are boxed arguments.
 // Boxing pointers (and integers below 256) in any does not allocate, so a
 // Post2 with a warm free list performs zero heap allocations. This is the
-// per-packet scheduling primitive of the netsim hot path.
-func (e *Engine) Post2(d Time, fn func(a, b any), a, b any) {
-	if d < 0 {
-		d = 0
-	}
-	ev := e.schedule(e.now + d)
-	ev.fn2 = fn
-	ev.a0, ev.a1 = a, b
-}
-
-// Post2K is Post2 with a cost-attribution kind tag (see SetCostSampler).
-func (e *Engine) Post2K(d Time, fn func(a, b any), a, b any, kind uint8) {
+// per-packet scheduling primitive of the netsim hot path. The event keeps
+// no handle (it cannot be canceled) and carries a cost-attribution kind
+// tag (see SetCostSampler).
+func (e *Engine) Post2(d Time, fn func(a, b any), a, b any, kind uint8) {
 	if d < 0 {
 		d = 0
 	}
@@ -326,19 +307,14 @@ func (e *Engine) ReserveSeq() uint64 {
 }
 
 // PostAtSeq schedules fn at absolute time t under a seq previously
-// obtained from ReserveSeq. If t is the current timestamp and the batch
-// running at it has not yet passed the reserved position, the event is
-// spliced into the running batch at that position — exactly as if it had
-// been in the queue when the batch was collected. Each reserved seq must
-// be filed at most once, and only at a (t, seq) position not yet reached
-// (ReachedSeq reports that).
-func (e *Engine) PostAtSeq(t Time, fn func(), seq uint64) {
-	e.PostAtSeqK(t, fn, seq, EKOther)
-}
-
-// PostAtSeqK is PostAtSeq with a cost-attribution kind tag (see
-// SetCostSampler).
-func (e *Engine) PostAtSeqK(t Time, fn func(), seq uint64, kind uint8) {
+// obtained from ReserveSeq, with a cost-attribution kind tag (see
+// SetCostSampler). If t is the current timestamp and the batch running at
+// it has not yet passed the reserved position, the event is spliced into
+// the running batch at that position — exactly as if it had been in the
+// queue when the batch was collected. Each reserved seq must be filed at
+// most once, and only at a (t, seq) position not yet reached (ReachedSeq
+// reports that).
+func (e *Engine) PostAtSeq(t Time, fn func(), seq uint64, kind uint8) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}

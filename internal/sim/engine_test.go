@@ -214,12 +214,12 @@ func TestEngineHeapProperty(t *testing.T) {
 func TestEnginePostRecycles(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	// Interleave Post and Run so events recycle; all must fire exactly
+	// Interleave After and Run so events recycle; all must fire exactly
 	// once and in order.
 	var last Time = -1
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 20; i++ {
-			e.Post(Time(i)*Nanosecond, func() {
+			e.After(Time(i)*Nanosecond, func() {
 				fired++
 				if e.Now() < last {
 					t.Fatal("recycled event fired out of order")
@@ -237,9 +237,9 @@ func TestEnginePostRecycles(t *testing.T) {
 func TestEnginePostAndAtInterleaved(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Post(2*Nanosecond, func() { order = append(order, 2) })
+	e.After(2*Nanosecond, func() { order = append(order, 2) })
 	ev := e.At(1*Nanosecond, func() { order = append(order, 1) })
-	e.Post(3*Nanosecond, func() { order = append(order, 3) })
+	e.After(3*Nanosecond, func() { order = append(order, 3) })
 	_ = ev
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -348,11 +348,11 @@ func TestPost2ZeroAlloc(t *testing.T) {
 	a, b := &obj{}, &obj{}
 	fn := func(x, y any) { x.(*obj).n += y.(*obj).n }
 	for i := 0; i < 64; i++ {
-		e.Post2(Nanosecond, fn, a, b)
+		e.Post2(Nanosecond, fn, a, b, EKOther)
 	}
 	e.Run()
 	if avg := testing.AllocsPerRun(200, func() {
-		e.Post2(Nanosecond, fn, a, b)
+		e.Post2(Nanosecond, fn, a, b, EKOther)
 		e.Run()
 	}); avg != 0 {
 		t.Errorf("Post2 with pointer args: %v allocs/op, want 0", avg)
@@ -360,10 +360,10 @@ func TestPost2ZeroAlloc(t *testing.T) {
 	// Small integers (< 256) box for free too — the PFC pause path relies
 	// on this.
 	fni := func(x, y any) { a.n += y.(int) }
-	e.Post2(Nanosecond, fni, a, 7)
+	e.Post2(Nanosecond, fni, a, 7, EKOther)
 	e.Run()
 	if avg := testing.AllocsPerRun(200, func() {
-		e.Post2(Nanosecond, fni, a, 200)
+		e.Post2(Nanosecond, fni, a, 200, EKOther)
 		e.Run()
 	}); avg != 0 {
 		t.Errorf("Post2 with small int arg: %v allocs/op, want 0", avg)
@@ -454,7 +454,7 @@ func BenchmarkEnginePost2(b *testing.B) {
 	_ = y
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Post2(Time(i%64)*Nanosecond, fn, x, y)
+		e.Post2(Time(i%64)*Nanosecond, fn, x, y, EKOther)
 		if e.Pending() > 1024 {
 			e.RunUntil(e.Now() + 64*Nanosecond)
 		}
@@ -467,7 +467,7 @@ func TestTotalProcessedAccumulates(t *testing.T) {
 	e := NewEngine()
 	const n = 100
 	for i := 0; i < n; i++ {
-		e.Post(Time(i), func() {})
+		e.After(Time(i), func() {})
 	}
 	e.RunUntil(Time(n))
 	if e.Processed() != n {
@@ -490,7 +490,7 @@ func TestReserveSeqOrdering(t *testing.T) {
 	seq := e.ReserveSeq() // rank reserved before the rival exists
 	e.At(50*Nanosecond, func() { order = append(order, "rival") })
 	e.At(10*Nanosecond, func() {
-		e.PostAtSeq(50*Nanosecond, func() { order = append(order, "reserved") }, seq)
+		e.PostAtSeq(50*Nanosecond, func() { order = append(order, "reserved") }, seq, EKOther)
 	})
 	e.Run()
 	if len(order) != 2 || order[0] != "reserved" || order[1] != "rival" {
@@ -512,7 +512,7 @@ func TestPostAtSeqSplicesRunningBatch(t *testing.T) {
 		order = append(order, "a")
 		// Runs while the batch at t=20ns is mid-dispatch; rank sits
 		// between a and b.
-		e.PostAtSeq(at, func() { order = append(order, "reserved") }, reserved)
+		e.PostAtSeq(at, func() { order = append(order, "reserved") }, reserved, EKOther)
 	})
 	reserved = e.ReserveSeq()
 	e.At(at, func() { order = append(order, "b") })
