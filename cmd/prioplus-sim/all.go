@@ -31,22 +31,23 @@ func runAll(args []string) int {
 	onlyArg := fs.String("only", "", "comma-separated subset of experiment ids (default: all)")
 	jsonOut := fs.String("json", "", "write per-run results to this file as JSON")
 	timeout := fs.Duration("timeout", 0, "per-run wall-clock limit (0 = none)")
-	full := fs.Bool("full", false, "run at the paper's full scale")
+	var params exp.RunParams
+	addRunFlags(fs, &params)
 	progress := fs.Bool("progress", true, "write a live progress line to stderr as runs complete")
 	fpOut := fs.String("fp-out", "", "write a fingerprint manifest (run name -> output hash) to this file; implies -fingerprint")
 	fpCheck := fs.String("fp-check", "", "check every run's output hash against this manifest; implies -fingerprint")
-	obsFlags := addObsFlags(fs)
+	var sink exp.Sink
+	listen := addObsFlags(fs, &sink)
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(args)
 
-	obsOpt, err := obsFlags.resolve()
-	if err != nil {
+	if err := resolveObs(&sink, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	if *fpOut != "" || *fpCheck != "" {
-		obsOpt.fingerprint = true
+		sink.Fingerprint = true
 	}
 
 	ids := exp.IDs()
@@ -75,10 +76,10 @@ func runAll(args []string) int {
 	// and tee artifact lines into the server's hub for /events.
 	var srv *stream.Server
 	var reg *runner.Registry
-	if obsOpt.listen != "" {
+	if *listen != "" {
 		reg = &runner.Registry{}
 		srv = stream.NewServer(reg)
-		if err := srv.Start(obsOpt.listen); err != nil {
+		if err := srv.Start(*listen); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -90,29 +91,29 @@ func runAll(args []string) int {
 	var states []*runner.RunState // parallel to tasks; nil without -listen
 	for _, id := range ids {
 		for _, seed := range seeds {
-			id, seed := id, seed
 			name := fmt.Sprintf("%s/seed=%d", id, seed)
-			taskObs := obsOpt
+			p := params
+			p.Seed = seed
+			taskSink := sink // each run gets its own copy of the configured sink
 			if reg != nil {
-				st := reg.Add(name, id, seed)
-				states = append(states, st)
-				taskObs.hub = srv.Hub
-				taskObs.live = st
+				taskSink.Hub = srv.Hub
+				taskSink.Live = reg.Add(name, id, seed)
+				states = append(states, taskSink.Live)
 			}
 			tasks = append(tasks, runner.Task{
 				Name: name,
-				Run: func() (string, map[string]float64) {
-					if taskObs.live != nil {
-						taskObs.live.Start()
+				Run: func() string {
+					if taskSink.Live != nil {
+						taskSink.Live.Start()
 					}
 					var buf bytes.Buffer
 					// Ids are validated above, so the only errors left are
-					// artifact writes; the panic lands in Result.Err and
-					// fails just this run.
-					if err := runExperiment(id, runOpts{full: *full, seed: seed, obs: taskObs}, &buf); err != nil {
+					// artifact writes and audit violations; the panic lands
+					// in Result.Err and fails just this run.
+					if err := exp.Run(id, p, &taskSink, &buf); err != nil {
 						panic(err)
 					}
-					return buf.String(), nil
+					return buf.String()
 				},
 			})
 		}
@@ -164,7 +165,7 @@ func runAll(args []string) int {
 			failures++
 		}
 		fp := ""
-		if obsOpt.fingerprint && r.Err == nil {
+		if sink.Fingerprint && r.Err == nil {
 			fps[r.Name] = serve.OutputFingerprint(r.Output)
 			fp = " fp=" + fps[r.Name]
 		}
@@ -178,7 +179,7 @@ func runAll(args []string) int {
 		events, dispatched, float64(events)/wall.Seconds()/1e6)
 
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, results, seeds, *parallel, *full, wall, events, dispatched, fps); err != nil {
+		if err := writeJSON(*jsonOut, results, seeds, *parallel, params.Full, wall, events, dispatched, fps); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

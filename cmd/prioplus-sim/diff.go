@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 
+	"prioplus/internal/exp"
 	"prioplus/internal/netsim"
 	"prioplus/internal/obs"
 	"prioplus/internal/sim"
@@ -233,28 +234,26 @@ func diffRerun(path, expID string, seed int64, full bool, perturb uint64) (*diff
 // a full-event recording window) and returns the digest of the run whose
 // tag matches the artifact's.
 func rerunDigest(expID string, seed int64, full bool, perturb, lo, hi uint64, tag string) (*sim.Digest, error) {
-	if err := validExperiment(expID); err != nil {
+	sink := &exp.Sink{Fingerprint: true, WindowLo: lo, WindowHi: hi}
+	p := exp.RunParams{Seed: seed, Full: full, Perturb: perturb}
+	if err := exp.Run(expID, p, sink, io.Discard); err != nil {
 		return nil, err
 	}
-	o := obsOpts{fingerprint: true, perturb: perturb, windowLo: lo, windowHi: hi}
-	sink := newObsSink(o, expID, seed)
-	if err := runExperimentWith(expID, runOpts{full: full, seed: seed, obs: o}, sink, io.Discard); err != nil {
-		return nil, err
-	}
-	if len(sink.runs) == 0 {
+	runs := sink.Runs()
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("experiment %q does not wire the observability sink; rerun mode needs one of the instrumented experiments", expID)
 	}
-	for _, r := range sink.runs {
-		if r.tag == tag && r.rec.Digest != nil {
-			return r.rec.Digest, nil
+	for _, r := range runs {
+		if r.Tag == tag {
+			return r.Rec.Digest, nil
 		}
 	}
-	if len(sink.runs) == 1 && sink.runs[0].rec.Digest != nil {
-		return sink.runs[0].rec.Digest, nil
+	if len(runs) == 1 {
+		return runs[0].Rec.Digest, nil
 	}
-	tags := make([]string, 0, len(sink.runs))
-	for _, r := range sink.runs {
-		tags = append(tags, r.tag)
+	tags := make([]string, 0, len(runs))
+	for _, r := range runs {
+		tags = append(tags, r.Tag)
 	}
 	return nil, fmt.Errorf("experiment %q has no run tagged %q (runs: %v)", expID, tag, tags)
 }

@@ -6,14 +6,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"prioplus/internal/exp"
 )
 
 // recordFig10b runs fig10b with -fingerprint -series into dir and returns
 // the artifact path.
 func recordFig10b(t *testing.T, dir string, perturb uint64) string {
 	t.Helper()
-	o := obsOpts{dir: dir, fingerprint: true, perturb: perturb}
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: o}, io.Discard); err != nil {
+	sink := &exp.Sink{Series: true, Dir: dir, Fingerprint: true}
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1, Perturb: perturb}, sink, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	return filepath.Join(dir, "fig10b__incast__seed1.jsonl")
@@ -79,10 +81,10 @@ func TestDiffPinpointsPerturbedDraw(t *testing.T) {
 // its `# fingerprint` lines must be byte-identical to a plain run.
 func TestFingerprintFigureBytes(t *testing.T) {
 	var plain, fp bytes.Buffer
-	if err := runExperiment("fig10b", runOpts{seed: 1}, &plain); err != nil {
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1}, nil, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: obsOpts{fingerprint: true}}, &fp); err != nil {
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1}, &exp.Sink{Fingerprint: true}, &fp); err != nil {
 		t.Fatal(err)
 	}
 	var stripped strings.Builder
@@ -139,8 +141,7 @@ func TestDiffArtifacts(t *testing.T) {
 // -fingerprint is a loud error pointing at the flag.
 func TestDiffRejectsUnfingerprintedArtifact(t *testing.T) {
 	dir := t.TempDir()
-	o := obsOpts{dir: dir}
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: o}, io.Discard); err != nil {
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1}, &exp.Sink{Series: true, Dir: dir}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "fig10b__incast__seed1.jsonl")

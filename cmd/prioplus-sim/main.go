@@ -11,13 +11,17 @@
 //	tab2 appd ablation ext-ecn ext-weighted faultsweep
 //
 // Use -full for paper-scale runs (slower); the default scale preserves the
-// comparisons at a fraction of the runtime. The `all` subcommand fans every
+// comparisons at a fraction of the runtime. -seed, -print-series and
+// -perturb D (inflate the D-th delay-noise draw by 1us, a controlled
+// divergence for diff) are the other run parameters, the same
+// exp.RunParams a serve job submits. The `all` subcommand fans every
 // experiment across a worker pool (one private engine per run, so results
 // are byte-identical whatever -parallel is) and reports wall-clock and
 // events/sec. -cpuprofile/-memprofile write pprof profiles for either mode.
 //
 // Observability (both single and batch mode, on the experiments that
-// support it — the fat-tree, coflow, and incast scenarios): `-series out/`
+// support it — the fat-tree, coflow, and incast scenarios) is configured
+// by flags bound straight into one exp.Sink: `-series out/`
 // writes one timeline artifact (JSONL) per run into out/, `-hist` records
 // streaming latency histograms and prints their summaries, and
 // `-watchdog 256m` arms an in-flight-bytes watchdog that stops a runaway
@@ -36,7 +40,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -45,14 +48,6 @@ import (
 	"prioplus/internal/obs/stream"
 	"prioplus/internal/runner"
 )
-
-// runOpts carries the per-run knobs shared by single and batch mode.
-type runOpts struct {
-	full   bool
-	series bool // print inline time-series data where available
-	seed   int64
-	obs    obsOpts
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -75,10 +70,12 @@ func main() {
 		os.Exit(runServe(os.Args[2:]))
 	}
 	fs := flag.NewFlagSet(expID, flag.ExitOnError)
-	full := fs.Bool("full", false, "run at the paper's full scale")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	printSer := fs.Bool("print-series", false, "also print inline time-series data where available")
-	obsFlags := addObsFlags(fs)
+	var p exp.RunParams
+	addRunFlags(fs, &p)
+	fs.Int64Var(&p.Seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&p.Series, "print-series", false, "also print inline time-series data where available")
+	var sink exp.Sink
+	listen := addObsFlags(fs, &sink)
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(os.Args[2:])
@@ -88,8 +85,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	obsOpt, err := obsFlags.resolve()
-	if err != nil {
+	if err := resolveObs(&sink, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -99,29 +95,25 @@ func main() {
 		os.Exit(1)
 	}
 	var srv *stream.Server
-	var st *runner.RunState
-	if obsOpt.listen != "" {
+	if *listen != "" {
 		reg := &runner.Registry{}
-		st = reg.Add(fmt.Sprintf("%s/seed=%d", expID, *seed), expID, *seed)
+		sink.Live = reg.Add(fmt.Sprintf("%s/seed=%d", expID, p.Seed), expID, p.Seed)
 		srv = stream.NewServer(reg)
-		if err := srv.Start(obsOpt.listen); err != nil {
+		if err := srv.Start(*listen); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "live endpoints on http://%s (/metrics /runs /events)\n", srv.Addr())
-		obsOpt.hub = srv.Hub
-		obsOpt.live = st
+		sink.Hub = srv.Hub
+		sink.Live.Start()
 	}
-	if st != nil {
-		st.Start()
-	}
-	runErr := runExperiment(expID, runOpts{full: *full, series: *printSer, seed: *seed, obs: obsOpt}, os.Stdout)
-	if st != nil {
+	runErr := exp.Run(expID, p, &sink, os.Stdout)
+	if sink.Live != nil {
 		msg := ""
 		if runErr != nil {
 			msg = runErr.Error()
 		}
-		st.Finish(msg)
+		sink.Live.Finish(msg)
 	}
 	if srv != nil {
 		if err := srv.Close(); err != nil {
@@ -137,78 +129,53 @@ func main() {
 	}
 }
 
-// obsFlagSet is the raw observability flag values before validation.
-type obsFlagSet struct {
-	seriesDir  *string
-	hist       *bool
-	watchdog   *string
-	wdEvents   *int64
-	runtime    *bool
-	cost       *bool
-	listen     *string
-	traceFlows *int
-	traceMatch *string
-	traceEvery *int
-	tracePkts  *int
-	fingerp    *bool
-	audit      *bool
-	perturb    *uint64
+// addRunFlags binds the run parameters single and batch mode share
+// straight into p.
+func addRunFlags(fs *flag.FlagSet, p *exp.RunParams) {
+	fs.BoolVar(&p.Full, "full", false, "run at the paper's full scale")
+	fs.Uint64Var(&p.Perturb, "perturb", 0, "deliberately inflate the Nth delay-noise draw by 1us (micro experiments; for testing diff)")
 }
 
-// addObsFlags registers the shared observability flags on fs.
-func addObsFlags(fs *flag.FlagSet) obsFlagSet {
-	return obsFlagSet{
-		seriesDir:  fs.String("series", "", "write per-run timeline artifacts (JSONL) into this directory"),
-		hist:       fs.Bool("hist", false, "record streaming histograms (FCT, fabric delay, ACK RTT) and print summaries"),
-		watchdog:   fs.String("watchdog", "", "in-flight bytes ceiling (e.g. 256m); tripping stops the run and dumps the flight recorder"),
-		wdEvents:   fs.Int64("watchdog-events", 0, "event-heap size ceiling for the watchdog (0 = off)"),
-		runtime:    fs.Bool("runtime", false, "merge host-process gauges (RSS, GC, events/sec) into the series; makes artifacts wall-clock dependent"),
-		cost:       fs.Bool("cost", false, "attribute sampled per-event execution cost by event kind (artifact metrics + /metrics)"),
-		listen:     fs.String("listen", "", "serve live endpoints on this address (/metrics, /runs, /events SSE); e.g. :8080"),
-		traceFlows: fs.Int("trace-flows", 0, "flow-trace up to N flows (packet journeys + CC decision audit; needs -series)"),
-		traceMatch: fs.String("trace-match", "", "flow-trace exactly these comma-separated flow ids (needs -series)"),
-		traceEvery: fs.Int("trace-every", 0, "with -trace-flows, admit only a 1-in-K hash sample of flow ids"),
-		tracePkts:  fs.Int("trace-packets", 0, "journey-stamp every Kth data packet of a traced flow (default 16, 1 = all)"),
-		fingerp:    fs.Bool("fingerprint", false, "fold every dispatched event into a digest chain and print the run fingerprint"),
-		audit:      fs.Bool("audit", false, "run conservation audits on the sampler clock (packet, byte, PFC accounting); a violation stops the run"),
-		perturb:    fs.Uint64("perturb", 0, "deliberately inflate the Nth delay-noise draw by 1us (micro experiments; for testing diff)"),
-	}
+// addObsFlags binds the observability flags straight into s's knobs and
+// returns the -listen address, which the caller wires to s.Hub and s.Live.
+func addObsFlags(fs *flag.FlagSet, s *exp.Sink) (listen *string) {
+	fs.StringVar(&s.Dir, "series", "", "write per-run timeline artifacts (JSONL) into this directory")
+	fs.BoolVar(&s.Hist, "hist", false, "record streaming histograms (FCT, fabric delay, ACK RTT) and print summaries")
+	fs.Func("watchdog", "in-flight bytes ceiling (e.g. 256m); tripping stops the run and dumps the flight recorder", func(v string) (err error) {
+		s.MaxInflight, err = parseBytes(v)
+		return err
+	})
+	fs.Int64Var(&s.MaxEvents, "watchdog-events", 0, "event-heap size ceiling for the watchdog (0 = off)")
+	fs.BoolVar(&s.Runtime, "runtime", false, "merge host-process gauges (RSS, GC, events/sec) into the series; makes artifacts wall-clock dependent")
+	fs.BoolVar(&s.Cost, "cost", false, "attribute sampled per-event execution cost by event kind (artifact metrics + /metrics)")
+	listen = fs.String("listen", "", "serve live endpoints on this address (/metrics, /runs, /events SSE); e.g. :8080")
+	fs.IntVar(&s.TraceFlows, "trace-flows", 0, "flow-trace up to N flows (packet journeys + CC decision audit; needs -series)")
+	fs.Func("trace-match", "flow-trace exactly these comma-separated flow ids (needs -series)", func(v string) (err error) {
+		s.TraceMatch, err = parseFlowList(v)
+		return err
+	})
+	fs.IntVar(&s.TraceEvery, "trace-every", 0, "with -trace-flows, admit only a 1-in-K hash sample of flow ids")
+	fs.IntVar(&s.TracePackets, "trace-packets", 0, "journey-stamp every Kth data packet of a traced flow (default 16, 1 = all)")
+	fs.BoolVar(&s.Fingerprint, "fingerprint", false, "fold every dispatched event into a digest chain and print the run fingerprint")
+	fs.BoolVar(&s.Audit, "audit", false, "run conservation audits on the sampler clock (packet, byte, PFC accounting); a violation stops the run")
+	return listen
 }
 
-// resolve validates the flag values and prepares the -series directory.
-func (f obsFlagSet) resolve() (obsOpts, error) {
-	var maxBytes int64
-	if *f.watchdog != "" {
-		var err error
-		maxBytes, err = parseBytes(*f.watchdog)
-		if err != nil {
-			return obsOpts{}, fmt.Errorf("-watchdog: %w", err)
-		}
+// resolveObs validates the parsed observability flags, arms the series
+// when artifacts have somewhere to go (-series or -listen), and prepares
+// the -series directory.
+func resolveObs(s *exp.Sink, listen string) error {
+	if (s.TraceFlows > 0 || len(s.TraceMatch) > 0) && s.Dir == "" {
+		return fmt.Errorf("flow tracing needs -series DIR: trace spans are only delivered through the timeline artifact")
 	}
-	match, err := parseFlowList(*f.traceMatch)
-	if err != nil {
-		return obsOpts{}, fmt.Errorf("-trace-match: %w", err)
+	if s.Runtime && s.Dir == "" && listen == "" {
+		return fmt.Errorf("-runtime needs -series DIR or -listen ADDR: runtime gauges are delivered as timeline series")
 	}
-	o := obsOpts{
-		dir: *f.seriesDir, hist: *f.hist,
-		maxBytes: maxBytes, maxEvents: *f.wdEvents,
-		runtime: *f.runtime, cost: *f.cost, listen: *f.listen,
-		traceFlows: *f.traceFlows, traceMatch: match,
-		traceEvery: *f.traceEvery, tracePackets: *f.tracePkts,
-		fingerprint: *f.fingerp, audit: *f.audit, perturb: *f.perturb,
+	s.Series = s.Dir != "" || listen != ""
+	if s.Dir != "" {
+		return os.MkdirAll(s.Dir, 0o755)
 	}
-	if o.tracing() && o.dir == "" {
-		return obsOpts{}, fmt.Errorf("flow tracing needs -series DIR: trace spans are only delivered through the timeline artifact")
-	}
-	if o.runtime && o.dir == "" && o.listen == "" {
-		return obsOpts{}, fmt.Errorf("-runtime needs -series DIR or -listen ADDR: runtime gauges are delivered as timeline series")
-	}
-	if o.dir != "" {
-		if err := os.MkdirAll(o.dir, 0o755); err != nil {
-			return obsOpts{}, err
-		}
-	}
-	return o, nil
+	return nil
 }
 
 // parseFlowList parses a comma-separated flow-id list ("" = none).
@@ -228,46 +195,31 @@ func parseFlowList(s string) ([]int64, error) {
 	return out, nil
 }
 
-// runExperiment executes one experiment and writes its report to w. It
-// returns an error for an unknown id or a failed observability-artifact
-// write; experiment output (including the batch runner's captured per-run
-// output) goes to w. The obs sink, when enabled, is wired into the
-// experiments that run full network scenarios (incast, fat-tree, coflow);
-// the analytic and micro experiments ignore it.
-func runExperiment(expID string, o runOpts, w io.Writer) error {
-	return runExperimentWith(expID, o, newObsSink(o.obs, expID, o.seed), w)
-}
-
-// runExperimentWith is runExperiment with a caller-supplied sink, so the
-// diff subcommand can rerun an experiment and inspect the recorders (and
-// their digest chains) afterwards instead of only seeing flushed text. The
-// experiment itself is resolved through the exp registry; this function
-// only translates the CLI's flag bundle into exp.RunParams and flushes the
-// sink afterwards.
-func runExperimentWith(expID string, o runOpts, sink *obsSink, w io.Writer) error {
-	spec, ok := exp.Lookup(expID)
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", expID)
+// parseBytes parses a human-readable byte count: a plain integer with an
+// optional k/m/g suffix (binary multiples), e.g. "64m", "2g", "65536".
+func parseBytes(s string) (int64, error) {
+	if s == "" {
+		return 0, fmt.Errorf("empty byte count")
 	}
-	p := exp.RunParams{Seed: o.seed, Full: o.full, Series: o.series, Perturb: o.obs.perturb}
-	// A nil *obsSink must become a nil interface, not a typed nil the
-	// drivers would dereference.
-	var s exp.Sink
-	if sink != nil {
-		s = sink
+	mult := int64(1)
+	switch s[len(s)-1] {
+	case 'k', 'K':
+		mult, s = 1<<10, s[:len(s)-1]
+	case 'm', 'M':
+		mult, s = 1<<20, s[:len(s)-1]
+	case 'g', 'G':
+		mult, s = 1<<30, s[:len(s)-1]
 	}
-	if err := spec.Run(p, s, w); err != nil {
-		return err
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad byte count %q", s)
 	}
-	if sink != nil {
-		return sink.flush(w)
-	}
-	return nil
+	return v * mult, nil
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: prioplus-sim <experiment> [-full] [-seed N] [-print-series] [obs flags] [-cpuprofile f] [-memprofile f]
-       prioplus-sim all [-parallel N] [-seeds a,b,c] [-only ids] [-json out.json] [-timeout d] [-full] [-fp-out f] [-fp-check f] [obs flags]
+	fmt.Fprintln(os.Stderr, `usage: prioplus-sim <experiment> [-full] [-seed N] [-print-series] [-perturb D] [obs flags] [-cpuprofile f] [-memprofile f]
+       prioplus-sim all [-parallel N] [-seeds a,b,c] [-only ids] [-json out.json] [-timeout d] [-full] [-perturb D] [-fp-out f] [-fp-check f] [obs flags]
        prioplus-sim serve [-listen ADDR] [-workers N] [-queue N] [-job-timeout d] [-cache N] [-manifest f]
        prioplus-sim report [-width N] file.jsonl|dir...
        prioplus-sim trace [-flows a,b] [-journeys K] [-width N] file.jsonl|dir...
@@ -302,8 +254,12 @@ obs flags (network experiments only; see docs/OBSERVABILITY.md):
   -audit            conservation auditor on the sampler clock (packet
                     pool, shared-buffer sums, PFC symmetry); a violation
                     stops the run and dumps the flight recorder
-  -perturb D        inflate the D-th delay-noise draw by 1us — a
-                    controlled divergence for exercising diff
+
+run flags:
+  -perturb D        inflate the D-th delay-noise draw by 1us (micro
+                    experiments) — a controlled divergence for exercising
+                    diff; a run parameter like -full and -seed, not an
+                    instrument
 
 experiments (from the exp registry; suite order):`)
 	for _, s := range exp.Specs() {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"prioplus/internal/exp"
 	"prioplus/internal/obs"
 )
 
@@ -48,21 +49,18 @@ func TestSanitizeTag(t *testing.T) {
 	}
 }
 
-// TestObsSinkArtifactNaming: one artifact per recorder, deduped stems, and
-// flush writes them where -series pointed.
+// TestObsSinkArtifactNaming: with -series DIR the CLI's sink writes one
+// artifact per run of the experiment, under its canonical stem, into DIR.
 func TestObsSinkArtifactNaming(t *testing.T) {
 	dir := t.TempDir()
-	sink := newObsSink(obsOpts{dir: dir}, "fig99", 7)
-	if sink == nil {
-		t.Fatal("sink disabled despite -series dir")
-	}
-	sink.Recorder("a/b")
-	sink.Recorder("a/b") // same tag twice: must not clobber
-	var out bytes.Buffer
-	if err := sink.flush(&out); err != nil {
+	sink, err := parseObsFlags("-series", dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fig99__a-b__seed7.jsonl", "fig99__a-b__seed7-2.jsonl"} {
+	if err := exp.Run("fig8", exp.RunParams{Seed: 7}, sink, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"fig8__pp__seed7.jsonl", "fig8__swift__seed7.jsonl"} {
 		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
 			t.Errorf("artifact %s not written: %v", want, err)
 		}
@@ -77,8 +75,8 @@ func TestObsSinkArtifactNaming(t *testing.T) {
 func TestWatchdogFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	o := runOpts{seed: 1, obs: obsOpts{dir: dir, maxBytes: 64 << 10}}
-	if err := runExperiment("fig10b", o, &out); err != nil {
+	sink := &exp.Sink{Series: true, Dir: dir, MaxInflight: 64 << 10}
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1}, sink, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "# watchdog tripped") {
@@ -88,8 +86,8 @@ func TestWatchdogFlightDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(dump, []byte("\n")); n != flightSize {
-		t.Errorf("dump has %d lines, want %d", n, flightSize)
+	if n := bytes.Count(dump, []byte("\n")); n != 4096 {
+		t.Errorf("dump has %d lines, want the ring's 4096", n)
 	}
 	sum := sha256.Sum256(dump)
 	const want = "92e25eaa18dfd8867c1eba05447b000e0ac79102f81d83c325c4c1cdaecbbd74"
@@ -99,33 +97,49 @@ func TestWatchdogFlightDump(t *testing.T) {
 }
 
 func TestObsSinkDisabled(t *testing.T) {
-	if s := newObsSink(obsOpts{}, "fig99", 1); s != nil {
-		t.Error("sink created with no obs flags set")
+	sink, err := parseObsFlags()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := sink.Recorder("x"); rec != nil {
+		t.Error("recorder handed out with no obs flags set")
+	}
+	if rec := (*exp.Sink)(nil).Recorder("x"); rec != nil {
+		t.Error("nil sink handed out a recorder")
 	}
 }
 
-// TestReportRoundTrip: an artifact written by the sink renders through the
-// report path without error and mentions its run and series.
+// writeTestArtifact writes rec's artifact for run "tag" into dir and
+// returns its path.
+func writeTestArtifact(t *testing.T, dir string, rec *obs.Recorder) string {
+	t.Helper()
+	path := filepath.Join(dir, "figX__tag__seed1.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := obs.WriteArtifact(f, "tag", rec); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReportRoundTrip: an artifact renders through the report path without
+// error and mentions its run, series, metrics and histograms.
 func TestReportRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	sink := newObsSink(obsOpts{dir: dir, hist: true}, "figX", 1)
-	rec := sink.Recorder("tag")
+	rec := obs.NewRecorder()
+	rec.Series = obs.NewSeriesSet(obs.DefaultSeriesInterval)
+	rec.Hist = obs.NewHistSet()
 	rec.Series.Add("net/test_series", "bytes", func() float64 { return 42 })
 	for i := 0; i < 5; i++ {
 		rec.Series.Sample()
 	}
 	rec.Hist.FCT.Observe(1000)
 	rec.Metrics.Counter("net/things").Add(3)
-	var out bytes.Buffer
-	if err := sink.flush(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "transport/fct") {
-		t.Errorf("-hist summary missing from flush output:\n%s", out.String())
-	}
+	path := writeTestArtifact(t, t.TempDir(), rec)
 
 	var rep bytes.Buffer
-	path := filepath.Join(dir, "figX__tag__seed1.jsonl")
 	if err := reportFile(&rep, path, 40); err != nil {
 		t.Fatal(err)
 	}
@@ -184,25 +198,22 @@ func TestReportAndTraceExitNonZeroOnBadDir(t *testing.T) {
 // TestTraceNoFlowsInArtifact: an artifact recorded without -trace-flows
 // renders as an error pointing at the flag, not as an empty timeline.
 func TestTraceNoFlowsInArtifact(t *testing.T) {
-	dir := t.TempDir()
-	sink := newObsSink(obsOpts{dir: dir}, "figX", 1)
-	sink.Recorder("tag")
-	if err := sink.flush(io.Discard); err != nil {
-		t.Fatal(err)
-	}
+	rec := obs.NewRecorder()
+	rec.Series = obs.NewSeriesSet(obs.DefaultSeriesInterval)
+	path := writeTestArtifact(t, t.TempDir(), rec)
 	var out bytes.Buffer
-	err := traceFile(&out, filepath.Join(dir, "figX__tag__seed1.jsonl"), nil, 3)
+	err := traceFile(&out, path, nil, 3)
 	if err == nil || !strings.Contains(err.Error(), "-trace-flows") {
 		t.Fatalf("err = %v, want a hint to record with -trace-flows", err)
 	}
 }
 
-// TestTraceRendersFlowTimeline: a sink-written artifact with flow spans
-// renders journeys and decisions, and selecting an untraced flow errors.
+// TestTraceRendersFlowTimeline: an artifact with flow spans renders
+// journeys and decisions, and selecting an untraced flow errors.
 func TestTraceRendersFlowTimeline(t *testing.T) {
-	dir := t.TempDir()
-	sink := newObsSink(obsOpts{dir: dir, traceFlows: 4}, "figX", 1)
-	rec := sink.Recorder("tag")
+	rec := obs.NewRecorder()
+	rec.Series = obs.NewSeriesSet(obs.DefaultSeriesInterval)
+	rec.FlowTrace = obs.NewFlowTracer(4)
 	fl := rec.FlowTrace.Admit(3)
 	fl.Add(obs.Span{T: 0, Kind: obs.SpanDecStart, A: 25.8, B: 28.2})
 	fl.Add(obs.Span{T: 2_000_000, Kind: obs.SpanHop, Seq: 1500, Delay: 400_000, Dev: "star", A: 4096})
@@ -210,10 +221,7 @@ func TestTraceRendersFlowTimeline(t *testing.T) {
 	fl.Add(obs.Span{T: 4_000_000, Kind: obs.SpanAcked, Seq: 1500, Delay: 2_000_000, A: 9000, B: 4500})
 	fl.Add(obs.Span{T: 5_000_000, Kind: obs.SpanDecYield, Delay: 28_500_000, A: 2.2, B: 2})
 	fl.Add(obs.Span{T: 6_000_000, Kind: obs.SpanDecResume, Delay: 14_000_000, A: 1})
-	if err := sink.flush(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "figX__tag__seed1.jsonl")
+	path := writeTestArtifact(t, t.TempDir(), rec)
 	var out bytes.Buffer
 	if err := traceFile(&out, path, nil, -1); err != nil {
 		t.Fatal(err)
@@ -232,34 +240,32 @@ func TestTraceRendersFlowTimeline(t *testing.T) {
 }
 
 // TestResolveTraceNeedsSeries: flow tracing without -series has nowhere to
-// deliver spans, so resolve rejects it up front.
+// deliver spans, so resolveObs rejects it up front.
 func TestResolveTraceNeedsSeries(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	flags := addObsFlags(fs)
-	if err := fs.Parse([]string{"-trace-flows", "4"}); err != nil {
-		t.Fatal(err)
+	if _, err := parseObsFlags("-trace-flows", "4"); err == nil || !strings.Contains(err.Error(), "-series") {
+		t.Fatalf("resolveObs = %v, want a -series requirement error", err)
 	}
-	if _, err := flags.resolve(); err == nil || !strings.Contains(err.Error(), "-series") {
-		t.Fatalf("resolve = %v, want a -series requirement error", err)
-	}
-
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	flags = addObsFlags(fs)
-	dir := t.TempDir()
-	if err := fs.Parse([]string{"-trace-match", "1, 7", "-series", dir}); err != nil {
-		t.Fatal(err)
-	}
-	o, err := flags.resolve()
+	sink, err := parseObsFlags("-trace-match", "1, 7", "-series", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.traceMatch) != 2 || o.traceMatch[0] != 1 || o.traceMatch[1] != 7 {
-		t.Errorf("traceMatch = %v, want [1 7]", o.traceMatch)
+	if len(sink.TraceMatch) != 2 || sink.TraceMatch[0] != 1 || sink.TraceMatch[1] != 7 {
+		t.Errorf("TraceMatch = %v, want [1 7]", sink.TraceMatch)
 	}
 	// -trace-match alone sizes the tracer cap to the match list.
-	sink := newObsSink(o, "figX", 1)
 	rec := sink.Recorder("tag")
 	if rec.FlowTrace == nil || rec.FlowTrace.MaxFlows != 2 {
 		t.Fatalf("FlowTrace cap = %+v, want MaxFlows 2", rec.FlowTrace)
 	}
+}
+
+// parseObsFlags builds the sink the CLI builds from args.
+func parseObsFlags(args ...string) (*exp.Sink, error) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	var sink exp.Sink
+	listen := addObsFlags(fs, &sink)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return &sink, resolveObs(&sink, *listen)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"prioplus/internal/exp"
 	"prioplus/internal/obs"
 	"prioplus/internal/obs/stream"
 	"prioplus/internal/runner"
@@ -20,7 +21,7 @@ import (
 // run. CI runs this under -race.
 func TestStreamingDeterminism(t *testing.T) {
 	var plain bytes.Buffer
-	if err := runExperiment("fig10b", runOpts{seed: 1}, &plain); err != nil {
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1}, nil, &plain); err != nil {
 		t.Fatal(err)
 	}
 
@@ -29,7 +30,7 @@ func TestStreamingDeterminism(t *testing.T) {
 	sub := hub.Subscribe(1 << 20)
 	slow := hub.Subscribe(2) // never read until the run ends
 	var live bytes.Buffer
-	err := runExperiment("fig10b", runOpts{seed: 1, obs: obsOpts{dir: dir, hub: hub}}, &live)
+	err := exp.Run("fig10b", exp.RunParams{Seed: 1}, &exp.Sink{Series: true, Dir: dir, Hub: hub}, &live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestStreamingDeterminism(t *testing.T) {
 func TestStreamOnlyRun(t *testing.T) {
 	hub := stream.NewHub()
 	sub := hub.Subscribe(1 << 20)
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: obsOpts{hub: hub}}, &bytes.Buffer{}); err != nil {
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1}, &exp.Sink{Series: true, Hub: hub}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	hub.Close()
@@ -101,13 +102,13 @@ func TestStreamOnlyRun(t *testing.T) {
 // series/metrics land in the artifact.
 func TestCostRuntimeDeterminism(t *testing.T) {
 	var plain bytes.Buffer
-	if err := runExperiment("fig10b", runOpts{seed: 1}, &plain); err != nil {
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1}, nil, &plain); err != nil {
 		t.Fatal(err)
 	}
 
 	// Cost alone (no artifact sink): output identical.
 	var costOnly bytes.Buffer
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: obsOpts{cost: true}}, &costOnly); err != nil {
+	if err := exp.Run("fig10b", exp.RunParams{Seed: 1}, &exp.Sink{Cost: true}, &costOnly); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != costOnly.String() {
@@ -119,8 +120,8 @@ func TestCostRuntimeDeterminism(t *testing.T) {
 	// the new series and metrics.
 	dir := t.TempDir()
 	var full bytes.Buffer
-	err := runExperiment("fig10b", runOpts{seed: 1,
-		obs: obsOpts{dir: dir, cost: true, runtime: true}}, &full)
+	err := exp.Run("fig10b", exp.RunParams{Seed: 1},
+		&exp.Sink{Series: true, Dir: dir, Cost: true, Runtime: true}, &full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"prioplus/internal/obs"
 )
 
 // RunParams is the JSON-serializable part of a run request: the knobs a
@@ -58,18 +56,10 @@ func DecodeParams(data []byte, base RunParams) (RunParams, error) {
 	if err := dec.Decode(&p); err != nil {
 		return base, fmt.Errorf("bad params: %w", err)
 	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return base, fmt.Errorf("bad params: trailing data after the params object")
+	}
 	return p, nil
-}
-
-// Sink hands out per-run observability recorders during one experiment
-// invocation. The CLI's flag-driven sink and the serve layer's job sink
-// both implement it; drivers see only the factory. A nil Sink disables
-// instrumentation entirely.
-type Sink interface {
-	// Recorder returns the recorder for the run identified by tag,
-	// retaining it so the caller can flush artifacts and digests after the
-	// experiment finishes.
-	Recorder(tag string) *obs.Recorder
 }
 
 // Spec is one registered experiment: everything a front end (CLI, batch
@@ -83,10 +73,11 @@ type Spec struct {
 	// Defaults are the parameter values a run gets when the caller leaves
 	// them unset.
 	Defaults RunParams
-	// Run executes the experiment with the given parameters, wiring any
-	// network runs through sink (which may be nil), and writes the figure
-	// output to w.
-	Run func(p RunParams, sink Sink, w io.Writer) error
+	// Run executes the experiment with the given parameters, taking one
+	// recorder per network run from sink (which may be nil), and writes
+	// the figure output to w. Front ends call the package-level Run, which
+	// also flushes the sink.
+	Run func(p RunParams, sink *Sink, w io.Writer) error
 }
 
 var (
@@ -120,6 +111,24 @@ func IDs() []string {
 	out := make([]string, len(regOrder))
 	copy(out, regOrder)
 	return out
+}
+
+// Run executes the experiment registered under id with parameters p,
+// instrumented through sink (nil = uninstrumented), and writes the figure
+// output followed by the sink's per-run lines to w. It is the one run path
+// of every front end: single runs, `all`, diff's reruns, and server jobs.
+func Run(id string, p RunParams, sink *Sink, w io.Writer) error {
+	spec, ok := Lookup(id)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", id)
+	}
+	if sink != nil {
+		sink.exp, sink.seed = id, p.Seed
+	}
+	if err := spec.Run(p, sink, w); err != nil {
+		return err
+	}
+	return sink.flush(w)
 }
 
 // Specs returns every registered spec in registration order.

@@ -88,7 +88,8 @@ func TestCanonicalInvariance(t *testing.T) {
 // with the "bad params" prefix, and the base is used for omitted fields.
 func TestDecodeParamsStrict(t *testing.T) {
 	base := RunParams{Seed: 7, Full: true}
-	for _, bad := range []string{`{"sede": 1}`, `{"seed": "x"}`, `{"seed": 1`, `42`} {
+	for _, bad := range []string{`{"sede": 1}`, `{"seed": "x"}`, `{"seed": 1`, `42`,
+		`{"seed": 1} trailing-garbage`, `{"seed": 1} {"seed": 2}`, `{"seed": 1}}`} {
 		if _, err := DecodeParams([]byte(bad), base); err == nil {
 			t.Errorf("DecodeParams(%q) accepted", bad)
 		} else if !strings.Contains(err.Error(), "bad params") {
@@ -112,5 +113,5 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	Register(Spec{ID: "fig2", Describe: "dup", Run: func(RunParams, Sink, io.Writer) error { return nil }})
+	Register(Spec{ID: "fig2", Describe: "dup", Run: func(RunParams, *Sink, io.Writer) error { return nil }})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 	"prioplus/internal/stats"
 )
@@ -27,11 +26,11 @@ import (
 var defaults = RunParams{Seed: 1}
 
 func init() {
-	reg := func(id, describe string, run func(p RunParams, sink Sink, w io.Writer) error) {
+	reg := func(id, describe string, run func(p RunParams, sink *Sink, w io.Writer) error) {
 		Register(Spec{ID: id, Describe: describe, Defaults: defaults, Run: run})
 	}
 
-	reg("fig2", "switch-chip buffer/bandwidth ratios", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig2", "switch-chip buffer/bandwidth ratios", func(p RunParams, sink *Sink, w io.Writer) error {
 		tb := stats.NewTable("chip", "year", "buffer(MB)", "bandwidth(Tbps)", "MB/Tbps")
 		for _, r := range Fig2(Options{}) {
 			tb.AddRow(r.Chip, r.Year, r.BufferMB, r.BandTbps, r.RatioMBpT)
@@ -40,7 +39,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig3a", "motivation: D2TCP deadline flows on one queue", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig3a", "motivation: D2TCP deadline flows on one queue", func(p RunParams, sink *Sink, w io.Writer) error {
 		r := Fig3a(8<<20, Options{Perturb: p.Perturb})
 		fmt.Fprintf(w, "D2TCP, deadlines 1x/2x ideal FCT on one queue\n")
 		fmt.Fprintf(w, "  high-priority share during contention: %.2f (strict would be ~1.0)\n", r.HighShare)
@@ -49,7 +48,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig3b", "motivation: Swift with scaled targets", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig3b", "motivation: Swift with scaled targets", func(p RunParams, sink *Sink, w io.Writer) error {
 		r := Fig3b(Options{Perturb: p.Perturb})
 		fmt.Fprintf(w, "Swift + target scaling, targets base+15us vs base+5us\n")
 		fmt.Fprintf(w, "  high-target share: %.2f (weighted sharing, violates O1)\n", r.HighShare)
@@ -57,7 +56,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig3c", "motivation: Swift w/o scaling, many low flows + one high", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig3c", "motivation: Swift w/o scaling, many low flows + one high", func(p RunParams, sink *Sink, w io.Writer) error {
 		n := 300
 		if !p.Full {
 			n = 100
@@ -70,7 +69,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig3d", "motivation: Swift w/o scaling trade-offs", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig3d", "motivation: Swift w/o scaling trade-offs", func(p RunParams, sink *Sink, w io.Writer) error {
 		r := Fig3d(Options{Perturb: p.Perturb})
 		fmt.Fprintf(w, "Swift w/o scaling trade-offs (§3.3)\n")
 		fmt.Fprintf(w, "  extra queue from line-rate start: %d B\n", r.ExtraQueueOnStart)
@@ -78,7 +77,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig7", "delay-noise CDF", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig7", "delay-noise CDF", func(p RunParams, sink *Sink, w io.Writer) error {
 		cdf, st := Fig7(DefaultFig7Config(), Options{})
 		fmt.Fprintf(w, "delay noise: mean %v, P99 %v, P99.85 %v, P(>1us) %.4f\n",
 			st.Mean, st.P99, st.P9985, st.FracGt1)
@@ -90,18 +89,13 @@ func init() {
 		return nil
 	})
 
-	reg("fig8", "testbed ladder: PrioPlus vs multi-target Swift (10G)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig8", "testbed ladder: PrioPlus vs multi-target Swift (10G)", func(p RunParams, sink *Sink, w io.Writer) error {
 		interval := 4 * sim.Millisecond
 		if !p.Full {
 			interval = 2 * sim.Millisecond
 		}
-		var ppRec, swRec *obs.Recorder
-		if sink != nil {
-			ppRec = sink.Recorder("pp")
-			swRec = sink.Recorder("swift")
-		}
-		pp := Fig8(true, interval, Options{Recorder: ppRec, Perturb: p.Perturb})
-		sw := Fig8(false, interval, Options{Recorder: swRec, Perturb: p.Perturb})
+		pp := Fig8(true, interval, Options{Recorder: sink.Recorder("pp"), Perturb: p.Perturb})
+		sw := Fig8(false, interval, Options{Recorder: sink.Recorder("swift"), Perturb: p.Perturb})
 		tb := stats.NewTable("scheme", "dominance of newest priority")
 		tb.AddRow(pp.Scheme, pp.DominanceFrac)
 		tb.AddRow(sw.Scheme, sw.DominanceFrac)
@@ -110,7 +104,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig9", "delay containment with inflated AI steps (10G)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig9", "delay containment with inflated AI steps (10G)", func(p RunParams, sink *Sink, w io.Writer) error {
 		pp := Fig9(true, Options{Perturb: p.Perturb})
 		sw := Fig9(false, Options{Perturb: p.Perturb})
 		tb := stats.NewTable("scheme", "frac of samples above D_limit")
@@ -120,7 +114,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig10a", "PrioPlus staggered priority ladder", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig10a", "PrioPlus staggered priority ladder", func(p RunParams, sink *Sink, w io.Writer) error {
 		// Adjacent-priority takeover needs a few ms (probe + one-packet
 		// resume + capped adaptive increase), which is why the paper's
 		// intervals are 5 ms.
@@ -137,22 +131,18 @@ func init() {
 		return nil
 	})
 
-	reg("fig10b", "incast delay containment", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig10b", "incast delay containment", func(p RunParams, sink *Sink, w io.Writer) error {
 		n := 300
 		if !p.Full {
 			n = 80
 		}
-		var rec *obs.Recorder
-		if sink != nil {
-			rec = sink.Recorder("incast")
-		}
-		r := Fig10b(n, Options{Recorder: rec, Perturb: p.Perturb})
+		r := Fig10b(n, Options{Recorder: sink.Recorder("incast"), Perturb: p.Perturb})
 		fmt.Fprintf(w, "%d-flow incast, D_target %v\n", n, r.Target)
 		fmt.Fprintf(w, "  delay within channel: %.0f%% of samples; mean delay %v\n", r.WithinFrac*100, r.MeanDelay)
 		return nil
 	})
 
-	reg("fig10c", "dual-RTT vs every-RTT adaptive increase", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig10c", "dual-RTT vs every-RTT adaptive increase", func(p RunParams, sink *Sink, w io.Writer) error {
 		r := Fig10c(Options{Perturb: p.Perturb})
 		tb := stats.NewTable("variant", "takeover time", "rate variance after")
 		tb.AddRow("dual-RTT", r.DualRTT.TakeoverTime, r.DualRTT.RateStdev)
@@ -161,7 +151,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig10d", "noise scale vs channel width utilization", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig10d", "noise scale vs channel width utilization", func(p RunParams, sink *Sink, w io.Writer) error {
 		tb := stats.NewTable("noise scale", "channel width (us)", "utilization")
 		for _, pt := range Fig10d(DefaultFig10dConfig(), Options{Perturb: p.Perturb}) {
 			tb.AddRow(pt.NoiseScale, pt.WidthUS, pt.Util)
@@ -170,7 +160,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig11", "flow scheduling FCT vs #priorities (fat-tree)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig11", "flow scheduling FCT vs #priorities (fat-tree)", func(p RunParams, sink *Sink, w io.Writer) error {
 		counts := []int{1, 2, 4, 6, 8, 12}
 		base := DefaultFlowSchedConfig(PrioPlusSwift(), 8)
 		base.Seed = p.Seed
@@ -180,14 +170,12 @@ func init() {
 			base.Drain = 20 * sim.Millisecond
 			counts = []int{2, 4, 8}
 		}
-		if sink != nil {
-			base.ObsFor = sink.Recorder
-		}
+		base.ObsFor = sink.Recorder
 		printFig11(w, Fig11(counts, base, Options{}))
 		return nil
 	})
 
-	reg("fig12ab", "coflow CCT speedups at 40%/70% load", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig12ab", "coflow CCT speedups at 40%/70% load", func(p RunParams, sink *Sink, w io.Writer) error {
 		for _, load := range []float64{0.4, 0.7} {
 			cfg := DefaultCoflowConfig(PrioPlusSwift(), load)
 			cfg.Seed = p.Seed
@@ -196,16 +184,14 @@ func init() {
 				cfg.Duration = 100 * sim.Millisecond
 				cfg.Drain = 400 * sim.Millisecond
 			}
-			if sink != nil {
-				cfg.ObsFor = sink.Recorder
-			}
+			cfg.ObsFor = sink.Recorder
 			fmt.Fprintf(w, "coflow CCT speedup vs Swift baseline, load %.0f%%\n", load*100)
 			printCoflow(w, Fig12Coflow(cfg, false))
 		}
 		return nil
 	})
 
-	reg("fig12c", "ML training speedups (ResNet/VGG)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig12c", "ML training speedups (ResNet/VGG)", func(p RunParams, sink *Sink, w io.Writer) error {
 		cfg := DefaultMLConfig(PrioPlusSwift())
 		cfg.Seed = p.Seed
 		if p.Full {
@@ -220,7 +206,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig13", "non-congestive delay tolerance", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig13", "non-congestive delay tolerance", func(p RunParams, sink *Sink, w io.Writer) error {
 		tb := stats.NewTable("tolerance(us)", "nc-delay range(us)", "normalized FCT gap")
 		for _, pt := range Fig13(DefaultFig13Config(), Options{}) {
 			tb.AddRow(pt.ToleranceUS, pt.RangeUS, pt.GapPerFlow)
@@ -229,7 +215,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig14", "per-priority FCT breakdown (12 priorities)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig14", "per-priority FCT breakdown (12 priorities)", func(p RunParams, sink *Sink, w io.Writer) error {
 		base := DefaultFlowSchedConfig(PrioPlusSwift(), 12)
 		base.Seed = p.Seed
 		base.Load = 0.5
@@ -238,9 +224,7 @@ func init() {
 			base.Duration = 5 * sim.Millisecond
 			base.Drain = 20 * sim.Millisecond
 		}
-		if sink != nil {
-			base.ObsFor = sink.Recorder
-		}
+		base.ObsFor = sink.Recorder
 		rows := Fig14(base, []Scheme{PrioPlusSwift(), SwiftPhysicalIdeal(), D2TCP(), NoCCPhysicalIdeal()}, Options{})
 		tb := stats.NewTable("scheme", "priority band", "size class", "FCT / Physical*")
 		for _, r := range rows {
@@ -250,7 +234,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig15", "tail CCT speedup", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig15", "tail CCT speedup", func(p RunParams, sink *Sink, w io.Writer) error {
 		cfg := DefaultCoflowConfig(PrioPlusSwift(), 0.7)
 		cfg.Seed = p.Seed
 		if p.Full {
@@ -258,15 +242,13 @@ func init() {
 			cfg.Duration = 100 * sim.Millisecond
 			cfg.Drain = 400 * sim.Millisecond
 		}
-		if sink != nil {
-			cfg.ObsFor = sink.Recorder
-		}
+		cfg.ObsFor = sink.Recorder
 		fmt.Fprintln(w, "tail (p99) CCT speedup vs Swift baseline, load 70%")
 		printCoflow(w, Fig12Coflow(cfg, true))
 		return nil
 	})
 
-	reg("fig16", "HPCC and PrioPlus* comparison", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig16", "HPCC and PrioPlus* comparison", func(p RunParams, sink *Sink, w io.Writer) error {
 		base := DefaultFlowSchedConfig(PrioPlusSwift(), 8)
 		base.Seed = p.Seed
 		if !p.Full {
@@ -274,14 +256,12 @@ func init() {
 			base.Duration = 5 * sim.Millisecond
 			base.Drain = 20 * sim.Millisecond
 		}
-		if sink != nil {
-			base.ObsFor = sink.Recorder
-		}
+		base.ObsFor = sink.Recorder
 		printFig11(w, Fig16(8, base, Options{}))
 		return nil
 	})
 
-	reg("fig17", "lossy fabric (IRN) coflow speedup", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig17", "lossy fabric (IRN) coflow speedup", func(p RunParams, sink *Sink, w io.Writer) error {
 		cfg := DefaultCoflowConfig(PrioPlusSwift(), 0.7)
 		cfg.Seed = p.Seed
 		cfg.Lossy = true
@@ -290,15 +270,13 @@ func init() {
 			cfg.Duration = 100 * sim.Millisecond
 			cfg.Drain = 400 * sim.Millisecond
 		}
-		if sink != nil {
-			cfg.ObsFor = sink.Recorder
-		}
+		cfg.ObsFor = sink.Recorder
 		fmt.Fprintln(w, "coflow CCT speedup, lossy fabric (PFC off, IRN recovery), load 70%")
 		printCoflow(w, Fig12Coflow(cfg, false))
 		return nil
 	})
 
-	reg("fig18", "coflow speedup with HPCC / no-CC baselines", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig18", "coflow speedup with HPCC / no-CC baselines", func(p RunParams, sink *Sink, w io.Writer) error {
 		cfg := DefaultCoflowConfig(PrioPlusSwift(), 0.7)
 		cfg.Seed = p.Seed
 		// The "Physical* w/o CC" run is armed with an in-flight-bytes
@@ -313,15 +291,13 @@ func init() {
 			cfg.Drain = 400 * sim.Millisecond
 			cfg.MaxInflight = 1 << 30
 		}
-		if sink != nil {
-			cfg.ObsFor = sink.Recorder
-		}
+		cfg.ObsFor = sink.Recorder
 		fmt.Fprintln(w, "coflow CCT speedup with HPCC and Physical w/o CC, load 70%")
 		printCoflow(w, Fig12Coflow(cfg, false, HPCCPhysical(8), NoCCPhysicalIdeal()))
 		return nil
 	})
 
-	reg("tab2", "start-strategy comparison", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("tab2", "start-strategy comparison", func(p RunParams, sink *Sink, w io.Writer) error {
 		tb := stats.NewTable("strategy", "bytes delayed (analytic)", "max extra buffer (analytic)", "measured extra buffer (BDP)")
 		for _, r := range Table2(Options{}) {
 			tb.AddRow(r.Strategy, r.BytesDelayed, r.MaxExtraBuffer, r.SimExtraBDP)
@@ -330,7 +306,7 @@ func init() {
 		return nil
 	})
 
-	reg("appd", "Swift fluctuation bound check", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("appd", "Swift fluctuation bound check", func(p RunParams, sink *Sink, w io.Writer) error {
 		ns := []int{10, 40, 150}
 		if !p.Full {
 			ns = []int{10, 40}
@@ -343,7 +319,7 @@ func init() {
 		return nil
 	})
 
-	reg("ablation", "design-choice ablations (filter, cardinality, probe)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("ablation", "design-choice ablations (filter, cardinality, probe)", func(p RunParams, sink *Sink, w io.Writer) error {
 		fmt.Fprintln(w, "== filter (two-consecutive) vs none, 2x noise ==")
 		tb := stats.NewTable("consec limit", "spurious yields", "utilization")
 		for _, r := range AblationFilter() {
@@ -365,14 +341,14 @@ func init() {
 		return nil
 	})
 
-	reg("ext-ecn", "Appendix B extension: per-priority ECN marking", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("ext-ecn", "Appendix B extension: per-priority ECN marking", func(p RunParams, sink *Sink, w io.Writer) error {
 		r := ECNPrio()
 		fmt.Fprintln(w, "Appendix B extension: per-virtual-priority ECN thresholds, DCTCP flows in one queue")
 		fmt.Fprintf(w, "  high-vprio share %.2f, utilization %.2f\n", r.HighShare, r.Util)
 		return nil
 	})
 
-	reg("ext-weighted", "§7 extension: weighted virtual priority", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("ext-weighted", "§7 extension: weighted virtual priority", func(p RunParams, sink *Sink, w io.Writer) error {
 		r := WeightedVP()
 		fmt.Fprintln(w, "§7 extension: weighted sharing within one channel, strict across channels")
 		fmt.Fprintf(w, "  weight-4 : weight-1 share ratio %.2f (ideal 4)\n", r.ShareRatio)
@@ -380,12 +356,10 @@ func init() {
 		return nil
 	})
 
-	reg("faultsweep", "mid-transfer link flap on a fat-tree: recovery per scheme", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("faultsweep", "mid-transfer link flap on a fat-tree: recovery per scheme", func(p RunParams, sink *Sink, w io.Writer) error {
 		cfg := DefaultFaultSweepConfig()
 		cfg.Seed = p.Seed
-		if sink != nil {
-			cfg.ObsFor = sink.Recorder
-		}
+		cfg.ObsFor = sink.Recorder
 		rows := FaultSweep(cfg, Options{})
 		fmt.Fprintf(w, "mid-transfer link flap (down %v at %v), fat-tree k=%d, %d cross-pod flows\n",
 			cfg.FlapDur, cfg.FlapAt, cfg.K, cfg.K*cfg.K*cfg.K/4)

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// Pool is a long-lived worker pool for tasks that arrive over time — the
-// execution engine behind the serve layer's job queue, where Run's
-// all-at-once batch shape does not fit. Tasks submitted to a Pool get the
-// same semantics as batch tasks: panic isolation (a panicking task fails
-// only itself) and a per-task wall-clock timeout (a hung run is abandoned
-// and reported as timed out), both via the shared execute step. The queue
+// Pool is the package's one worker loop: a long-lived pool for tasks that
+// arrive over time — the execution engine behind the serve layer's job
+// queue — and, sized to the batch, the engine behind Run. Every task gets
+// panic isolation (a panicking task fails only itself) and a per-task
+// wall-clock timeout (a hung run is abandoned and reported as timed out),
+// both via the shared execute step. The queue
 // is bounded; TrySubmit refuses rather than blocks when it is full, which
 // is how the job server turns overload into backpressure (HTTP 429)
 // instead of unbounded memory growth.
@@ -45,7 +45,7 @@ func NewPool(workers, depth int, timeout time.Duration) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for it := range p.queue {
-				r := execute(it.task, 0, p.timeout)
+				r := execute(it.task, p.timeout)
 				if it.done != nil {
 					it.done(r)
 				}

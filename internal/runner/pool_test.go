@@ -18,8 +18,8 @@ func TestPoolRunsTasks(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
 		wg.Add(1)
-		ok := p.TrySubmit(Task{Name: name, Run: func() (string, map[string]float64) {
-			return "out-" + name, nil
+		ok := p.TrySubmit(Task{Name: name, Run: func() string {
+			return "out-" + name
 		}}, func(r Result) {
 			mu.Lock()
 			got[r.Name] = r.Output
@@ -45,11 +45,11 @@ func TestPoolPanicIsolation(t *testing.T) {
 	p := NewPool(1, 2, 0)
 	defer p.Close()
 	results := make(chan Result, 2)
-	p.TrySubmit(Task{Name: "boom", Run: func() (string, map[string]float64) {
+	p.TrySubmit(Task{Name: "boom", Run: func() string {
 		panic("kaboom")
 	}}, func(r Result) { results <- r })
-	p.TrySubmit(Task{Name: "fine", Run: func() (string, map[string]float64) {
-		return "ok", nil
+	p.TrySubmit(Task{Name: "fine", Run: func() string {
+		return "ok"
 	}}, func(r Result) { results <- r })
 
 	byName := map[string]Result{}
@@ -74,12 +74,12 @@ func TestPoolBackpressure(t *testing.T) {
 	running := make(chan struct{})
 	done := make(chan Result, 2)
 	blockTask := func(name string) Task {
-		return Task{Name: name, Run: func() (string, map[string]float64) {
+		return Task{Name: name, Run: func() string {
 			if name == "first" {
 				close(running)
 			}
 			<-gate
-			return name, nil
+			return name
 		}}
 	}
 	if !p.TrySubmit(blockTask("first"), func(r Result) { done <- r }) {
@@ -95,7 +95,7 @@ func TestPoolBackpressure(t *testing.T) {
 	close(gate)
 	<-done
 	<-done
-	if !p.TrySubmit(Task{Name: "after", Run: func() (string, map[string]float64) { return "", nil }}, nil) {
+	if !p.TrySubmit(Task{Name: "after", Run: func() string { return "" }}, nil) {
 		t.Error("submit after drain refused")
 	}
 	p.Close()
@@ -109,9 +109,9 @@ func TestPoolTimeout(t *testing.T) {
 	p := NewPool(1, 1, 10*time.Millisecond)
 	defer p.Close()
 	done := make(chan Result, 1)
-	p.TrySubmit(Task{Name: "hang", Run: func() (string, map[string]float64) {
+	p.TrySubmit(Task{Name: "hang", Run: func() string {
 		<-gate
-		return "", nil
+		return ""
 	}}, func(r Result) { done <- r })
 	r := <-done
 	if !errors.Is(r.Err, ErrTimeout) {
@@ -126,11 +126,11 @@ func TestPoolClose(t *testing.T) {
 	var ran int
 	var mu sync.Mutex
 	for i := 0; i < 3; i++ {
-		p.TrySubmit(Task{Name: "t", Run: func() (string, map[string]float64) {
+		p.TrySubmit(Task{Name: "t", Run: func() string {
 			mu.Lock()
 			ran++
 			mu.Unlock()
-			return "", nil
+			return ""
 		}}, nil)
 	}
 	p.Close()
@@ -139,7 +139,7 @@ func TestPoolClose(t *testing.T) {
 		t.Errorf("%d tasks ran before Close returned, want 3", ran)
 	}
 	mu.Unlock()
-	if p.TrySubmit(Task{Name: "late", Run: func() (string, map[string]float64) { return "", nil }}, nil) {
+	if p.TrySubmit(Task{Name: "late", Run: func() string { return "" }}, nil) {
 		t.Error("submit after Close accepted")
 	}
 	p.Close() // idempotent

@@ -34,9 +34,8 @@ type Task struct {
 	// Name identifies the task in results and error messages
 	// (e.g. "fig11/seed=3").
 	Name string
-	// Run executes the task, returning its rendered output and optional
-	// named metrics.
-	Run func() (output string, metrics map[string]float64)
+	// Run executes the task, returning its rendered output.
+	Run func() string
 }
 
 // Result is the outcome of one task. Exactly one of Output or Err is
@@ -47,8 +46,6 @@ type Result struct {
 	Index int
 	// Output is the task's rendered text (empty on failure).
 	Output string
-	// Metrics are the task's named quantities (nil on failure).
-	Metrics map[string]float64
 	// Err is non-nil if the task panicked (wrapping the panic value and
 	// stack) or timed out (wrapping ErrTimeout).
 	Err error
@@ -76,69 +73,47 @@ type Options struct {
 }
 
 // Run executes every task and returns one Result per task, in task order,
-// regardless of worker count or completion order.
+// regardless of worker count or completion order. It is a Pool sized to
+// the batch: every task fits the queue, and Close waits for the last one.
 func Run(tasks []Task, opt Options) []Result {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	p := NewPool(min(workers, len(tasks)), len(tasks), opt.Timeout)
 	results := make([]Result, len(tasks))
 	var mu sync.Mutex // serializes OnResult
-	notify := func(r Result) {
-		if opt.OnResult == nil {
-			return
-		}
-		mu.Lock()
-		opt.OnResult(r)
-		mu.Unlock()
-	}
-	if workers <= 1 {
-		for i := range tasks {
-			results[i] = execute(tasks[i], i, opt.Timeout)
-			notify(results[i])
-		}
-		return results
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = execute(tasks[i], i, opt.Timeout)
-				notify(results[i])
+	for i, t := range tasks {
+		p.TrySubmit(t, func(r Result) {
+			r.Index = i
+			results[i] = r
+			if opt.OnResult != nil {
+				mu.Lock()
+				opt.OnResult(r)
+				mu.Unlock()
 			}
-		}()
+		})
 	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	p.Close()
 	return results
 }
 
 // execute runs one task with panic capture and an optional deadline. The
 // task body runs in its own goroutine so a hung run can be abandoned; the
 // done channel is buffered so an abandoned run's final send never blocks.
-func execute(t Task, i int, timeout time.Duration) Result {
+func execute(t Task, timeout time.Duration) Result {
 	start := time.Now()
 	done := make(chan Result, 1)
 	go func() {
-		res := Result{Name: t.Name, Index: i}
+		res := Result{Name: t.Name}
 		defer func() {
 			if r := recover(); r != nil {
-				res.Output, res.Metrics = "", nil
 				res.Err = fmt.Errorf("run %q panicked: %v", t.Name, r)
 			}
 			res.Wall = time.Since(start)
 			done <- res
 		}()
-		res.Output, res.Metrics = t.Run()
+		res.Output = t.Run()
 	}()
 	if timeout <= 0 {
 		return <-done
@@ -150,10 +125,9 @@ func execute(t Task, i int, timeout time.Duration) Result {
 		return res
 	case <-timer.C:
 		return Result{
-			Name:  t.Name,
-			Index: i,
-			Err:   fmt.Errorf("run %q: %w after %v", t.Name, ErrTimeout, timeout),
-			Wall:  timeout,
+			Name: t.Name,
+			Err:  fmt.Errorf("run %q: %w after %v", t.Name, ErrTimeout, timeout),
+			Wall: timeout,
 		}
 	}
 }

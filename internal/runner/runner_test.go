@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +25,7 @@ import (
 func simTask(name string, seed int64) runner.Task {
 	return runner.Task{
 		Name: name,
-		Run: func() (string, map[string]float64) {
+		Run: func() string {
 			eng := sim.NewEngine()
 			cfg := topo.DefaultConfig()
 			net := harness.New(topo.Star(eng, 3, cfg), seed)
@@ -40,7 +39,7 @@ func simTask(name string, seed int64) runner.Task {
 				})
 			}
 			eng.RunUntil(10 * sim.Millisecond)
-			return fmt.Sprintf("fcts=%v", fcts), map[string]float64{"flows": float64(len(fcts))}
+			return fmt.Sprintf("flows=%d fcts=%v", len(fcts), fcts)
 		},
 	}
 }
@@ -72,10 +71,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		if s.Output != p.Output {
 			t.Errorf("result %d output differs:\n serial:   %q\n parallel: %q", i, s.Output, p.Output)
 		}
-		if !reflect.DeepEqual(s.Metrics, p.Metrics) {
-			t.Errorf("result %d metrics differ: %v vs %v", i, s.Metrics, p.Metrics)
-		}
-		if s.Output == "" || s.Output == "fcts=[]" {
+		if s.Output == "" || strings.HasPrefix(s.Output, "flows=0 ") {
 			t.Errorf("result %d produced no completions: %q", i, s.Output)
 		}
 	}
@@ -90,8 +86,8 @@ func TestEnginePerRunIsolation(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("run %q failed: %v", r.Name, r.Err)
 		}
-		if r.Metrics["flows"] != 2 {
-			t.Errorf("run %q completed %v flows, want 2", r.Name, r.Metrics["flows"])
+		if !strings.HasPrefix(r.Output, "flows=2 ") {
+			t.Errorf("run %q output %q, want 2 completed flows", r.Name, r.Output)
 		}
 	}
 }
@@ -102,7 +98,7 @@ func TestPanicIsolation(t *testing.T) {
 	tasks := simTasks(4)
 	tasks[1] = runner.Task{
 		Name: "boom",
-		Run:  func() (string, map[string]float64) { panic("seed exploded") },
+		Run:  func() string { panic("seed exploded") },
 	}
 	results := runner.Run(tasks, runner.Options{Workers: 4})
 	for i, r := range results {
@@ -132,9 +128,9 @@ func TestTimeout(t *testing.T) {
 	defer close(release)
 	tasks := []runner.Task{
 		simTask("fast", 1),
-		{Name: "hung", Run: func() (string, map[string]float64) {
+		{Name: "hung", Run: func() string {
 			<-release
-			return "late", nil
+			return "late"
 		}},
 	}
 	results := runner.Run(tasks, runner.Options{Workers: 2, Timeout: 50 * time.Millisecond})
@@ -168,7 +164,7 @@ func TestDefaultWorkers(t *testing.T) {
 func obsTask(name string, seed int64) runner.Task {
 	return runner.Task{
 		Name: name,
-		Run: func() (string, map[string]float64) {
+		Run: func() string {
 			eng := sim.NewEngine()
 			cfg := topo.DefaultConfig()
 			net := harness.New(topo.Star(eng, 3, cfg), seed)
@@ -188,7 +184,7 @@ func obsTask(name string, seed int64) runner.Task {
 			if err := obs.WriteArtifact(&buf, name, rec); err != nil {
 				panic(err)
 			}
-			return buf.String(), nil
+			return buf.String()
 		},
 	}
 }
@@ -256,7 +252,7 @@ func TestOnResult(t *testing.T) {
 func traceTask(name string, seed int64) runner.Task {
 	return runner.Task{
 		Name: name,
-		Run: func() (string, map[string]float64) {
+		Run: func() string {
 			eng := sim.NewEngine()
 			cfg := topo.DefaultConfig()
 			net := harness.New(topo.Star(eng, 3, cfg), seed)
@@ -278,7 +274,7 @@ func traceTask(name string, seed int64) runner.Task {
 			if err := obs.WriteArtifact(&buf, name, rec); err != nil {
 				panic(err)
 			}
-			return buf.String(), nil
+			return buf.String()
 		},
 	}
 }
@@ -305,6 +301,29 @@ func TestTraceArtifactsDeterministicAcrossWorkers(t *testing.T) {
 			if !strings.Contains(serial[i].Output, want) {
 				t.Errorf("run %d artifact missing %s", i, want)
 			}
+		}
+	}
+}
+
+// TestSerialSubmissionOrder: with one worker the batch runs serially in
+// task order, so OnResult sees the tasks in submission order.
+func TestSerialSubmissionOrder(t *testing.T) {
+	tasks := make([]runner.Task, 5)
+	for i := range tasks {
+		name := fmt.Sprintf("t%d", i)
+		tasks[i] = runner.Task{Name: name, Run: func() string { return name }}
+	}
+	var order []int
+	results := runner.Run(tasks, runner.Options{Workers: 1, OnResult: func(r runner.Result) {
+		order = append(order, r.Index)
+	}})
+	for i, r := range results {
+		if r.Index != i || r.Output != tasks[i].Name {
+			t.Errorf("result %d = %+v, want index %d output %q", i, r, i, tasks[i].Name)
+		}
+		if order[i] != i {
+			t.Errorf("OnResult order %v, want submission order", order)
+			break
 		}
 	}
 }

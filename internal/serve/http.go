@@ -24,7 +24,8 @@ import (
 //	GET    /experiments      the registry: ids, descriptions, defaults
 //
 // Errors come back as JSON {"error": "..."} with 400 (bad spec), 404
-// (unknown job), 409 (wrong state), or 429 (queue full).
+// (unknown job), 409 (wrong state), 413 (body over 1 MiB), or 429 (queue
+// full).
 type API struct {
 	sched *Scheduler
 }
@@ -41,6 +42,9 @@ func (a *API) Mount(srv *stream.Server) {
 	srv.Handle("/jobs/", "", http.HandlerFunc(a.handleJob))
 	srv.Handle("/experiments", "experiment registry: ids, descriptions, defaults (JSON)", http.HandlerFunc(a.handleExperiments))
 }
+
+// maxBodyBytes bounds a POST /jobs body; larger bodies get HTTP 413.
+const maxBodyBytes = 1 << 20
 
 // submitRequest is the POST /jobs body. Params stays raw so it can be
 // strict-decoded over the experiment's registered defaults.
@@ -62,15 +66,23 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
 	var req submitRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(&req)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooBig) {
+			err = errors.New("trailing data after the request object")
+		}
+	}
+	switch {
+	case errors.As(err, &tooBig):
+		apiError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+		return
+	case err != nil:
 		apiError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

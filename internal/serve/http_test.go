@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,8 +134,9 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestHTTPErrors pins the error contract: 400 for bad specs, 404 for
-// unknown jobs, 409 for results of unfinished jobs and bad cancels.
+// TestHTTPErrors pins the error contract: 400 for bad specs (trailing data
+// included), 413 for bodies over 1 MiB, 404 for unknown jobs, 409 for
+// results of unfinished jobs and bad cancels.
 func TestHTTPErrors(t *testing.T) {
 	base, _ := startTestServer(t, Config{Workers: 1})
 
@@ -149,6 +151,10 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/jobs", `{"experiment": "fig2", "params": {"sede": 1}}`, 400},
 		{"POST", "/jobs", `{"experiment": "fig2", "bogus": true}`, 400},
 		{"POST", "/jobs", `not json`, 400},
+		{"POST", "/jobs", `{"experiment": "fig2"} trailing-garbage`, 400},
+		{"POST", "/jobs", `{"experiment": "fig2"} {"experiment": "fig2"}`, 400},
+		{"POST", "/jobs", `{"experiment": "` + strings.Repeat("x", 1<<20) + `"}`, 413},
+		{"POST", "/jobs", `{"experiment": "fig2"}` + strings.Repeat(" ", 1<<20), 413},
 		{"GET", "/jobs/j999", "", 404},
 		{"GET", "/jobs/j999/result", "", 404},
 		{"DELETE", "/jobs/j999", "", 404},

@@ -173,9 +173,7 @@ func (s *Scheduler) Submit(spec JobSpec) (JobSnapshot, error) {
 	} else {
 		j.state = &runner.RunState{Name: name, Experiment: spec.Experiment, Seed: spec.Params.Seed}
 	}
-	task := runner.Task{Name: name, Run: func() (string, map[string]float64) {
-		return s.compute(j)
-	}}
+	task := runner.Task{Name: name, Run: func() string { return s.compute(j) }}
 	if !s.pool.TrySubmit(task, func(r runner.Result) { s.complete(j, r) }) {
 		return JobSnapshot{}, ErrQueueFull
 	}
@@ -193,7 +191,7 @@ func (s *Scheduler) admit(j *job) {
 // compute runs the experiment for a leader job on a pool worker. The
 // rendered output travels back through the runner result; artifacts and
 // the experiment-level error ride on the job under the lock.
-func (s *Scheduler) compute(j *job) (string, map[string]float64) {
+func (s *Scheduler) compute(j *job) string {
 	s.mu.Lock()
 	if j.status == JobCanceled && len(j.followers) == 0 {
 		// Canceled while queued with nobody waiting: skip the work. (A
@@ -201,36 +199,30 @@ func (s *Scheduler) compute(j *job) (string, map[string]float64) {
 		// paid for the result.)
 		j.skipped = true
 		s.mu.Unlock()
-		return "", nil
+		return ""
 	}
 	if j.status == JobQueued {
 		j.status = JobRunning
 	}
-	sink := &jobSink{
-		exp:      j.spec.Experiment,
-		seed:     j.spec.Params.Seed,
-		artifact: j.spec.Artifact,
-		hub:      s.cfg.Hub,
-		live:     j.state,
-	}
 	s.mu.Unlock()
 	j.state.Start()
 
-	spec, _ := exp.Lookup(j.spec.Experiment)
+	sink := &exp.Sink{Fingerprint: true, Series: j.spec.Artifact, Hub: s.cfg.Hub, Live: j.state}
 	var buf bytes.Buffer
-	err := spec.Run(j.spec.Params, sink, &buf)
+	err := exp.Run(j.spec.Experiment, j.spec.Params, sink, &buf)
 	var arts []Artifact
-	if err == nil {
-		arts, err = sink.flush(&buf)
+	for _, r := range sink.Runs() {
+		if r.Rec.Series != nil {
+			arts = append(arts, Artifact{Stem: r.Stem, Lines: string(r.Artifact)})
+		}
 	}
-
 	s.mu.Lock()
 	if !j.finished() {
 		j.artifacts = arts
 		j.runErr = err
 	}
 	s.mu.Unlock()
-	return buf.String(), nil
+	return buf.String()
 }
 
 // complete finalizes a leader job from its pool result: classify the

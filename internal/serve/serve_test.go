@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"prioplus/internal/exp"
+	"prioplus/internal/obs"
 )
 
 // The shared test experiment: deterministic output, an atomic compute
@@ -22,12 +23,24 @@ func init() {
 		ID:       "testblock",
 		Describe: "serve test fixture: counts computes",
 		Defaults: exp.RunParams{Seed: 1},
-		Run: func(p exp.RunParams, sink exp.Sink, w io.Writer) error {
+		Run: func(p exp.RunParams, sink *exp.Sink, w io.Writer) error {
 			testComputes.Add(1)
-			if sink != nil {
-				sink.Recorder("t")
-			}
+			sink.Recorder("t")
 			fmt.Fprintf(w, "testblock seed=%d full=%v\n", p.Seed, p.Full)
+			return nil
+		},
+	})
+	// A run whose driver arms its own watchdog, as fig18's uncontrolled
+	// baseline does, and trips it.
+	exp.Register(exp.Spec{
+		ID:       "testwatchdog",
+		Describe: "serve test fixture: a driver-armed watchdog trips",
+		Defaults: exp.RunParams{Seed: 1},
+		Run: func(p exp.RunParams, sink *exp.Sink, w io.Writer) error {
+			rec := sink.Recorder("t")
+			rec.Watchdog = &obs.Watchdog{MaxInflightBytes: 1}
+			rec.Watchdog.Check(2, 0)
+			fmt.Fprintln(w, "testwatchdog")
 			return nil
 		},
 	})
@@ -42,12 +55,10 @@ func registerGatedSpec(id string) (gate chan struct{}, computes *atomic.Int64) {
 		ID:       id,
 		Describe: "serve test fixture: blocks on a private gate",
 		Defaults: exp.RunParams{Seed: 1},
-		Run: func(p exp.RunParams, sink exp.Sink, w io.Writer) error {
+		Run: func(p exp.RunParams, sink *exp.Sink, w io.Writer) error {
 			computes.Add(1)
 			<-gate
-			if sink != nil {
-				sink.Recorder("t")
-			}
+			sink.Recorder("t")
 			fmt.Fprintf(w, "%s seed=%d full=%v\n", id, p.Seed, p.Full)
 			return nil
 		},
@@ -311,6 +322,34 @@ func TestTimeout(t *testing.T) {
 	f := waitJob(t, s, j.ID)
 	if f.Status != JobFailed || !strings.Contains(f.Err, "exceeded timeout") {
 		t.Errorf("timed-out job: status=%s err=%q, want failed/timeout", f.Status, f.Err)
+	}
+}
+
+// TestDriverWatchdogLineMatchesCLI: a run whose driver arms its own
+// watchdog (as fig18's uncontrolled baseline does) reports the trip in job
+// output exactly as the CLI's -fingerprint run does, so the job's
+// fingerprint matches the manifest the CLI generated.
+func TestDriverWatchdogLineMatchesCLI(t *testing.T) {
+	var cli strings.Builder
+	if err := exp.Run("testwatchdog", exp.RunParams{Seed: 1}, &exp.Sink{Fingerprint: true}, &cli); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(cli.String(), "# watchdog tripped") {
+		t.Fatalf("CLI-configured run printed no watchdog line:\n%s", cli.String())
+	}
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	snap, err := s.Submit(JobSpec{Experiment: "testwatchdog", Params: exp.RunParams{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, s, snap.ID)
+	res, err := s.Result(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Output != cli.String() {
+		t.Errorf("job output differs from the CLI's:\njob:\n%s\nCLI:\n%s", res.Output, cli.String())
 	}
 }
 
